@@ -16,22 +16,18 @@ from .motive import (
     Unknown,
     UnregisteredAtomError,
     dim_of,
-    equal,
     normalize,
     solve_tensor_factor,
-    subtract_summand,
 )
 from .hodge import (
     CohomologyProfile,
     HodgeDiamond,
     MissingRealizationError,
     SymbolicRank,
-    betti_polynomial,
     check_symmetries,
     lefschetz_section_profile,
     realize_hodge,
     torsion_status,
-    twist_diamond,
 )
 from .atlas import (
     Atlas,
@@ -50,7 +46,6 @@ from .formulas import (
     NonCellularFactorError,
     blow_up,
     codim_rank_leq,
-    corank_codim,
     kunneth,
     p_fibration,
     projective_bundle,
@@ -58,8 +53,8 @@ from .formulas import (
 from .gm import (
     GMScenario,
     ScenarioError,
+    Derivation,
     TorsionCertificate,
-    VerifyReport,
     build_lhs,
     build_rhs,
     full_report,

@@ -5,7 +5,6 @@ squares of surfaces with no odd cohomology.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .tatepoly import TatePolynomial, ladder
@@ -154,18 +153,16 @@ class Atlas:
     def __init__(self, registry: AtomRegistry | None = None):
         self.registry = registry if registry is not None else AtomRegistry()
         self._entries: dict[str, AtlasEntry] = {}
-        self._lock = threading.Lock()
 
     def add(self, entry: AtlasEntry) -> AtlasEntry:
-        with self._lock:
-            existing = self._entries.get(entry.atom.name)
-            if existing is not None:
-                if existing != entry:
-                    raise ValueError(f"entry {entry.atom.name!r} already present")
-                return existing
-            self.registry.register(entry.atom)
-            self._entries[entry.atom.name] = entry
-            return entry
+        existing = self._entries.get(entry.atom.name)
+        if existing is not None:
+            if existing != entry:
+                raise ValueError(f"entry {entry.atom.name!r} already present")
+            return existing
+        self.registry.register(entry.atom)
+        self._entries[entry.atom.name] = entry
+        return entry
 
     def get(self, name: str) -> AtlasEntry | None:
         return self._entries.get(name)

@@ -10,26 +10,20 @@ import argparse
 import json
 import sys
 
-from .tatepoly import TatePolynomial, NotDivisibleError
+from .tatepoly import ONE, NotDivisibleError
 from .motive import (
-    NormalForm,
+    MotiveAtom,
     NotASummandError,
     UnregisteredAtomError,
     dim_of,
     normalize,
     solve_tensor_factor,
 )
-from .hodge import (
-    HodgeDiamond,
-    MissingRealizationError,
-    SymbolicRankError,
-    realize_hodge,
-)
+from .hodge import HodgeDiamond, MissingRealizationError, realize_hodge
 from .atlas import Atlas, AtlasEntry
-from .motive import MotiveAtom
 from .formulas import DimensionMismatchError, NonCellularFactorError, InvalidRankError
-from .dsl import DslError, Parser
-from .gm import GMScenario, full_report
+from .dsl import DslError, Parser, print_twist
+from .gm import GMScenario, full_report, verify_identity
 
 SCHEMA = "motive-calc/1"
 
@@ -37,7 +31,6 @@ INPUT_ERRORS = (
     DslError,
     UnregisteredAtomError,
     MissingRealizationError,
-    SymbolicRankError,
     DimensionMismatchError,
     NonCellularFactorError,
     InvalidRankError,
@@ -73,23 +66,6 @@ def _emit(args, payload: dict, text: str) -> None:
         print(json.dumps(payload, sort_keys=True))
     elif text:
         print(text)
-
-
-def _solution_text(nf: NormalForm, alias: dict[str, str] | None = None) -> str:
-    alias = alias or {}
-    parts = []
-    for name in nf.atoms():
-        shown = alias.get(name, name)
-        poly = nf.coefficient(name)
-        items = poly.items()
-        if poly == TatePolynomial.one():
-            parts.append(shown)
-        elif len(items) == 1 and items[0][1] == 1:
-            k = items[0][0]
-            parts.append(f"{shown}*L" if k == 1 else f"{shown}*L^{k}")
-        else:
-            parts.append(f"{shown}*({poly})")
-    return " + ".join(parts) if parts else "0"
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -152,7 +128,7 @@ def _cmd_expr(args, atlas: Atlas) -> int:
 
 def _cmd_solve(args, atlas: Atlas) -> int:
     parser = Parser(atlas)
-    m1 = TatePolynomial.parse(args.m1)
+    m1 = parser.parse_polynomial(args.m1)
     m2 = normalize(parser.parse(_read_expr_arg(args.m2)))
     rhs = normalize(parser.parse(_read_expr_arg(args.rhs)))
     try:
@@ -178,35 +154,32 @@ def _cmd_solve(args, atlas: Atlas) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = full_report(GMScenario())
+    s = GMScenario()
     if args.json:
+        report = full_report(s)
         print(json.dumps({**report, "command": "verify-gm6"}, sort_keys=True))
         return 0 if report["identity_ok"] else 1
-    if not report["identity_ok"]:
-        print(f"identity: FAILED; {report['message']}")
+    derivation = verify_identity(s)
+    if not derivation.ok:
+        print(f"identity: FAILED; {derivation.message}")
         return 1
-    solution = _solution_text(
-        NormalForm(
-            {n: TatePolynomial.parse(p) for n, p in report["solved"].items()}
-        ),
-        alias={"B": "Q(6)", "Y": "K3"},
-    )
-    torsion = report["torsion"]["conclusion"].upper()
+    solved, diamond, cert = derivation.answer()
+    nf = solved.normal_form
     if not args.quiet:
-        print("left normal form:  " + json.dumps(report["lhs"], sort_keys=True))
-        print("right normal form: " + json.dumps(report["rhs"], sort_keys=True))
-        print(f"solved M(X) = {json.dumps(report['solved'], sort_keys=True)}")
-        print(f"note: {report['solved_note']}")
+        print("left normal form:  " + json.dumps(derivation.lhs.to_dict()))
+        print("right normal form: " + json.dumps(derivation.rhs.to_dict()))
+        print(f"solved M(X) = {json.dumps(nf.to_dict())}")
+        print(f"note: {solved.note}")
         print("Hodge diamond:")
-        diamond = HodgeDiamond(
-            report["hodge"]["n"], {(p, q): v for p, q, v in report["hodge"]["h"]}
-        )
         print(diamond.pretty())
-        print("Betti numbers: " + " ".join(map(str, report["betti"])))
-        print(f"Euler characteristic: {report['euler']}")
-        for name, status in sorted(report["torsion"]["atoms"].items()):
+        print("Betti numbers: " + " ".join(map(str, diamond.betti())))
+        print(f"Euler characteristic: {diamond.euler()}")
+        for name, status in sorted(cert.atom_status.items()):
             print(f"torsion of {name}: {status}")
-    print(f"identity: OK; M(X) = {solution}; torsion: {torsion}")
+    alias = {"B": "Q(6)", "Y": "K3"}
+    terms = [(alias.get(n, n), nf.coefficient(n)) for n in nf.atoms()]
+    solution = " + ".join(a if p == ONE else f"{a}*{print_twist(p)}" for a, p in terms)
+    print(f"identity: OK; M(X) = {solution}; torsion: {cert.conclusion.upper()}")
     return 0
 
 

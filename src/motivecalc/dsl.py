@@ -5,7 +5,11 @@ Grammar (whitespace-insensitive, '+' binds looser than '*'):
     expr   := term ('+' term)*
     term   := factor ('*' twist)*
     factor := ident | builtin '(' args ')' | '(' expr ')'
-    twist  := 'L' ('^' nat)? | '(' polynomial ')'
+    twist  := 'L' ('^' nat)? | '(' poly ')'
+    poly   := mono ('+' mono)*
+    mono   := nat ('*'? 'L' ('^' nat)?)? | 'L' ('^' nat)?
+
+Parser.parse_polynomial reads a whole 'poly', e.g. the M1 of ``solve``.
 
 Builtins: P(n), Q(n), Gr(k,n), Hilb2(atom), PB(e,r), Bl(a,c,codim),
 Fib(e,k), Prod(a,b).  'K3' is a plain identifier registering the K3 atlas
@@ -116,13 +120,22 @@ class Parser:
     # -- grammar -----------------------------------------------------------
 
     def parse(self, text: str) -> MotiveExpr:
+        """Parse a whole expression."""
+        return self._parse_all(text, self._expr)
+
+    def parse_polynomial(self, text: str) -> TatePolynomial:
+        """Parse a whole twist polynomial, in the syntax of a ``* (...)``
+        twist, e.g. ``1 + 2L + L^2``; ``0`` is the zero polynomial."""
+        return self._parse_all(text, self._polynomial)
+
+    def _parse_all(self, text: str, rule):
         self._tokens = tokenize(text)
         self._i = 0
-        expr = self._expr()
+        result = rule()
         tok = self._peek()
         if tok.kind != "END":
             raise DslSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
-        return expr
+        return result
 
     def _expr(self) -> MotiveExpr:
         terms = [self._term()]
@@ -274,7 +287,8 @@ class Parser:
                 return TatePolynomial(coeffs)
 
 
-def _print_twist(poly: TatePolynomial) -> str:
+def print_twist(poly: TatePolynomial) -> str:
+    """Render a nonzero twist factor as it follows ``*`` in DSL source."""
     items = poly.items()
     if len(items) == 1 and items[0][1] == 1 and items[0][0] >= 1:
         k = items[0][0]
@@ -293,5 +307,5 @@ def print_expr(e: MotiveExpr) -> str:
         inner = print_expr(e.child)
         if isinstance(e.child, Sum):
             inner = f"({inner})"
-        return f"{inner} * {_print_twist(e.twist)}"
+        return f"{inner} * {print_twist(e.twist)}"
     raise TypeError(f"not a MotiveExpr: {e!r}")

@@ -96,8 +96,3 @@ def codim_rank_leq(e: int, f: int, r: int) -> int:
     if not 0 <= r <= min(e, f):
         raise InvalidRankError(f"rank {r} outside [0, {min(e, f)}]")
     return (e - r) * (f - r)
-
-
-def corank_codim(e: int, f: int, k: int) -> int:
-    """Expected codimension of the corank >= k stratum."""
-    return codim_rank_leq(e, f, min(e, f) - k)

@@ -23,14 +23,15 @@ from .motive import (
     solve_tensor_factor,
 )
 from .hodge import (
-    FREE,
     UNKNOWN,
     CohomologyProfile,
     HodgeDiamond,
+    atom_torsion,
     lefschetz_section_profile,
     realize_hodge,
+    torsion_status,
 )
-from .atlas import Atlas, hilb2_surface, k3, quadric
+from .atlas import Atlas
 from .formulas import (
     DimensionMismatchError,
     blow_up,
@@ -164,65 +165,106 @@ def expected_mx(s: GMScenario) -> NormalForm:
 
 
 @dataclass(frozen=True)
-class VerifyReport:
+class Derivation:
+    """A scenario's one derivation pass: its facts validated (when strict),
+    both sides built and normalized once, and compared after substituting
+    X -> B + Y*L^2.  Solving, realization and the torsion certificate all
+    read the normal forms stored here.
+
+    A construction or validation failure is kept in ``error`` rather than
+    raised, so perturbed scenarios can be probed; lhs and rhs are then None.
+    """
+
+    scenario: GMScenario = field(repr=False, compare=False)
     ok: bool
-    lhs: NormalForm | None
-    rhs: NormalForm | None
-    substituted: NormalForm | None
     message: str
+    lhs: NormalForm | None = None
+    rhs: NormalForm | None = None
+    substituted: NormalForm | None = None
+    error: Exception | None = None
 
     def __bool__(self) -> bool:
         return self.ok
 
+    def sides(self) -> tuple[NormalForm, NormalForm]:
+        """The normalized lhs and rhs; re-raises a construction failure."""
+        if self.error is not None:
+            raise self.error
+        return self.lhs, self.rhs
 
-def verify_identity(s: GMScenario) -> VerifyReport:
-    """Compare both sides after substituting X -> B + Y*L^2.
+    def solve(self) -> Solved:
+        """Cancel the common summand and tensor factor to extract the normal
+        form of X from the two-sided identity."""
+        lhs, rhs = self.sides()
+        m2 = NormalForm({n: p for n, p in lhs.terms.items() if n != "X"})
+        return solve_tensor_factor("X", lhs.coefficient("X"), m2, rhs)
+
+    def torsion(
+        self, profiles: dict[str, CohomologyProfile] | None = None
+    ) -> TorsionCertificate:
+        """Machine-checkable chain: X is a unit-coefficient summand of a sum
+        whose atoms all have torsion-free integral cohomology, hence its own
+        integral cohomology is torsion-free."""
+        lhs, rhs = self.sides()
+        if profiles is None:
+            profiles = profile_table(self.scenario)
+        unit = lhs.coefficient("X").coefficient(0) >= 1
+        status = atom_torsion(rhs, profiles)
+        conclusion = torsion_status(rhs, profiles) if unit else UNKNOWN
+        notes = (
+            "a direct sum of Tate twists of torsion-free groups is torsion-free, "
+            "and so is any direct summand of one",
+        )
+        return TorsionCertificate(unit, status, conclusion, notes)
+
+    def answer(self) -> tuple[Solved, HodgeDiamond, TorsionCertificate]:
+        """The solved M(X), its Hodge diamond and its torsion certificate."""
+        solved = self.solve()
+        diamond = realize_hodge(solved.normal_form, realization_table(self.scenario))
+        return solved, diamond, self.torsion()
+
+
+def verify_identity(s: GMScenario) -> Derivation:
+    """Derive the scenario once: validate (when strict), build and normalize
+    both sides, and compare them after substituting X -> B + Y*L^2.
 
     Construction or validation failures are reported as a failed
     verification, not raised, so perturbed scenarios can be probed."""
     try:
         if s.strict:
             s.validate()
-        lhs = normalize(build_lhs(s))
-        rhs = normalize(build_rhs(s))
+        lhs, rhs = (normalize(build_side(s)) for build_side in (build_lhs, build_rhs))
     except (ScenarioError, DimensionMismatchError, ValueError) as exc:
-        return VerifyReport(False, None, None, None, f"construction failed: {exc}")
+        return Derivation(s, False, f"construction failed: {exc}", error=exc)
     substituted = lhs.substitute("X", expected_mx(s))
     if substituted == rhs:
-        return VerifyReport(True, lhs, rhs, substituted, "identity holds")
+        return Derivation(s, True, "identity holds", lhs, rhs, substituted)
     diffs = []
     for name in sorted(set(substituted.atoms()) | set(rhs.atoms())):
         a, b = substituted.coefficient(name), rhs.coefficient(name)
         if a != b:
             diffs.append(f"{name}: {a} vs {b}")
-    return VerifyReport(
-        False, lhs, rhs, substituted, "normal forms differ: " + "; ".join(diffs)
-    )
+    message = "normal forms differ: " + "; ".join(diffs)
+    return Derivation(s, False, message, lhs, rhs, substituted)
 
 
 def solve_mx(s: GMScenario) -> Solved:
-    """Cancel the common summand and tensor factor to extract the normal
-    form of X from the two-sided identity."""
-    if s.strict:
-        s.validate()
-    lhs = normalize(build_lhs(s))
-    rhs = normalize(build_rhs(s))
-    m1 = lhs.coefficient("X")
-    m2 = NormalForm({n: p for n, p in lhs.terms.items() if n != "X"})
-    return solve_tensor_factor("X", m1, m2, rhs)
+    """The normal form of X solved from the scenario's identity."""
+    return verify_identity(s).solve()
 
 
 def realization_table(s: GMScenario) -> dict[str, HodgeDiamond]:
-    return {"B": quadric(6).diamond, "Y": k3().diamond}
+    """Hodge diamonds of the atoms of the answer: B is the quadric Q6 and Y
+    the K3 surface, both taken from the scenario's atlas."""
+    return {"B": s.atlas.quadric(6).diamond, "Y": s.atlas.k3().diamond}
 
 
 def profile_table(s: GMScenario) -> dict[str, CohomologyProfile]:
     """Torsion profiles of the building blocks: the quadric and the K3 are
     free outright; the Hilbert-square divisor inherits freeness as a smooth
     ample divisor in the Hilbert square of the K3."""
-    k3_entry = k3()
-    q6 = quadric(6)
-    hilb2 = hilb2_surface(k3_entry)
+    q6, k3_entry = s.atlas.quadric(6), s.atlas.k3()
+    hilb2 = s.atlas.hilb2(k3_entry.atom.name)
     return {
         "B": CohomologyProfile.from_diamond(q6.diamond, q6.torsion_free),
         "Y": CohomologyProfile.from_diamond(k3_entry.diamond, k3_entry.torsion_free),
@@ -237,41 +279,12 @@ class TorsionCertificate:
     conclusion: str
     notes: tuple[str, ...]
 
-    def to_lines(self) -> list[str]:
-        lines = [
-            "unit embedding of X into its fibration: "
-            + ("yes" if self.unit_embedding else "NO"),
-        ]
-        for name in sorted(self.atom_status):
-            lines.append(f"integral cohomology of {name}: {self.atom_status[name]}")
-        lines.append(f"conclusion: {self.conclusion}")
-        lines.extend(self.notes)
-        return lines
-
 
 def torsion_report(
     s: GMScenario, profiles: dict[str, CohomologyProfile] | None = None
 ) -> TorsionCertificate:
-    """Machine-checkable chain: X is a unit-coefficient summand of a sum
-    whose atoms all have torsion-free integral cohomology, hence its own
-    integral cohomology is torsion-free."""
-    if profiles is None:
-        profiles = profile_table(s)
-    lhs = normalize(build_lhs(s))
-    rhs = normalize(build_rhs(s))
-    unit = lhs.coefficient("X").coefficient(0) >= 1
-    status = {}
-    for name in rhs.atoms():
-        prof = profiles.get(name)
-        if prof is None:
-            raise KeyError(f"no cohomology profile for atom {name}")
-        status[name] = FREE if prof.all_free() else UNKNOWN
-    conclusion = FREE if unit and all(v == FREE for v in status.values()) else UNKNOWN
-    notes = (
-        "a direct sum of Tate twists of torsion-free groups is torsion-free, "
-        "and so is any direct summand of one",
-    )
-    return TorsionCertificate(unit, status, conclusion, notes)
+    """The torsion certificate of X; see Derivation.torsion."""
+    return verify_identity(s).torsion(profiles)
 
 
 def perturbed(s: GMScenario, **changes) -> GMScenario:
@@ -293,16 +306,13 @@ def full_report(s: GMScenario) -> dict:
         out["rhs"] = verify.rhs.to_dict()
     if not verify.ok:
         return out
-    solved = solve_mx(s)
-    diamond = realize_hodge(solved.normal_form, realization_table(s))
-    cert = torsion_report(s)
-    betti = diamond.betti()
+    solved, diamond, cert = verify.answer()
     out.update(
         {
             "solved": solved.normal_form.to_dict(),
             "solved_note": solved.note,
             "hodge": diamond.to_json_dict(),
-            "betti": list(betti),
+            "betti": list(diamond.betti()),
             "euler": diamond.euler(),
             "torsion": {
                 "unit_embedding": cert.unit_embedding,

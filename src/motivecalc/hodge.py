@@ -20,9 +20,9 @@ UNKNOWN = "unknown"
 class MissingRealizationError(KeyError):
     """A normal-form atom has no entry in the realization table."""
 
-
-class SymbolicRankError(ValueError):
-    """Numeric output requested from a profile with a symbolic rank."""
+    def __str__(self) -> str:
+        # KeyError would show the repr of its argument
+        return str(self.args[0])
 
 
 @dataclass(frozen=True)
@@ -119,20 +119,6 @@ def check_symmetries(d: HodgeDiamond) -> bool:
     return True
 
 
-def twist_diamond(d: HodgeDiamond, k: int) -> HodgeDiamond:
-    """Tate twist: entry (p,q) moves to (p+k,q+k).
-
-    The returned table uses ambient dimension n+2k so that duality about the
-    shifted center still holds; when the twist occurs inside a sum,
-    realize_hodge recomputes the ambient dimension itself.
-    """
-    if k < 0:
-        raise ValueError("twist must be nonnegative")
-    if k == 0:
-        return d
-    return HodgeDiamond(d.n + 2 * k, {(p + k, q + k): v for p, q, v in d.entries()})
-
-
 def realize_hodge(
     nf: NormalForm, table: Mapping[str, HodgeDiamond]
 ) -> HodgeDiamond:
@@ -144,7 +130,7 @@ def realize_hodge(
     dims = []
     for name in nf.atoms():
         if name not in table:
-            raise MissingRealizationError(name)
+            raise MissingRealizationError(f"no Hodge realization for atom {name!r}")
         dims.append(table[name].n + nf.coefficient(name).degree)
     n = max(dims)
     h: dict[tuple[int, int], int] = {}
@@ -216,30 +202,19 @@ def lefschetz_section_profile(
     return CohomologyProfile(s, tuple(ranks), tuple(flag for _ in ranks))
 
 
-def torsion_status(nf: NormalForm, table: Mapping[str, CohomologyProfile]) -> str:
-    """FREE iff every atom occurring in the normal form has an all-free
-    profile; a direct sum of Tate twists of torsion-free groups is
-    torsion-free, and so is any direct summand of one."""
+def atom_torsion(nf: NormalForm, table: Mapping[str, CohomologyProfile]) -> dict[str, str]:
+    """Torsion flag of each atom occurring in the normal form: FREE iff its
+    profile is free in every degree, else UNKNOWN."""
+    status = {}
     for name in nf.atoms():
         if name not in table:
-            raise MissingRealizationError(name)
-        if not table[name].all_free():
-            return UNKNOWN
-    return FREE
+            raise MissingRealizationError(f"no cohomology profile for atom {name!r}")
+        status[name] = FREE if table[name].all_free() else UNKNOWN
+    return status
 
 
-def betti_polynomial(x) -> tuple[int, ...]:
-    """Degree-indexed rank vector of a diamond or numeric profile."""
-    if isinstance(x, HodgeDiamond):
-        return x.betti()
-    if isinstance(x, CohomologyProfile):
-        for r in x.ranks:
-            if isinstance(r, SymbolicRank):
-                raise SymbolicRankError(str(r))
-        return tuple(int(r) for r in x.ranks)
-    raise TypeError(f"expected HodgeDiamond or CohomologyProfile, got {type(x)!r}")
-
-
-def euler_characteristic(x) -> int:
-    b = betti_polynomial(x)
-    return sum(v if k % 2 == 0 else -v for k, v in enumerate(b))
+def torsion_status(nf: NormalForm, table: Mapping[str, CohomologyProfile]) -> str:
+    """FREE iff every atom occurring in the normal form is FREE; a direct sum
+    of Tate twists of torsion-free groups is torsion-free, and so is any
+    direct summand of one."""
+    return FREE if all(s == FREE for s in atom_torsion(nf, table).values()) else UNKNOWN

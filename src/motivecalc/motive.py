@@ -9,8 +9,6 @@ normal-form level.
 
 from __future__ import annotations
 
-import json
-import threading
 from dataclasses import dataclass
 from collections.abc import Mapping
 
@@ -40,21 +38,19 @@ class MotiveAtom:
 
 
 class AtomRegistry:
-    """Append-only name -> MotiveAtom table; concurrent reads are safe."""
+    """Append-only name -> MotiveAtom table."""
 
     def __init__(self):
         self._atoms: dict[str, MotiveAtom] = {}
-        self._lock = threading.Lock()
 
     def register(self, atom: MotiveAtom) -> MotiveAtom:
-        with self._lock:
-            existing = self._atoms.get(atom.name)
-            if existing is None:
-                self._atoms[atom.name] = atom
-                return atom
-            if existing != atom:
-                raise ValueError(f"atom {atom.name!r} already registered with different data")
-            return existing
+        existing = self._atoms.get(atom.name)
+        if existing is None:
+            self._atoms[atom.name] = atom
+            return atom
+        if existing != atom:
+            raise ValueError(f"atom {atom.name!r} already registered with different data")
+        return existing
 
     def get(self, name: str) -> MotiveAtom:
         try:
@@ -199,9 +195,6 @@ class NormalForm:
     def to_dict(self) -> dict[str, str]:
         return {name: str(self._terms[name]) for name in self.atoms()}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     def __str__(self) -> str:
         if not self._terms:
             return "{}"
@@ -224,14 +217,6 @@ def normalize(e: MotiveExpr) -> NormalForm:
     if isinstance(e, TensorTwist):
         return normalize(e.child).scale(e.twist)
     raise TypeError(f"not a MotiveExpr: {e!r}")
-
-
-def equal(a: MotiveExpr, b: MotiveExpr) -> bool:
-    return normalize(a) == normalize(b)
-
-
-def subtract_summand(total: NormalForm, part: NormalForm) -> NormalForm:
-    return total.subtract(part)
 
 
 def dim_of(e: MotiveExpr, registry: AtomRegistry) -> int:
@@ -273,11 +258,11 @@ def solve_tensor_factor(
     """Solve N * m1 + m2 = rhs for the normal form N.
 
     Subtracts the summand m2 and divides every remaining coefficient exactly
-    by m1.  Raises NotASummandError when m2 does not embed and
-    NotDivisibleError when some coefficient is not divisible.
+    by m1.  Raises ValueError for a zero m1, NotASummandError when m2 does
+    not embed and NotDivisibleError when some coefficient is not divisible.
     """
     if not m1:
-        raise ZeroDivisionError("tensor factor must be nonzero")
+        raise ValueError("tensor factor must be nonzero")
     reduced = rhs.subtract(m2)
     solved = NormalForm({n: p.div_exact(m1) for n, p in reduced.terms.items()})
     return Solved(solved)

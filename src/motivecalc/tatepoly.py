@@ -7,15 +7,11 @@ never negative; cancellation is only available as exact division.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterable, Mapping
 
 
 class NotDivisibleError(ArithmeticError):
     """No quotient with nonnegative integer coefficients exists."""
-
-
-_TERM_RE = re.compile(r"^(?:(\d+)\s*\*?\s*)?(L(?:\^(\d+))?)?$")
 
 
 class TatePolynomial:
@@ -60,28 +56,6 @@ class TatePolynomial:
         """The single monomial L^k."""
         return cls({k: 1})
 
-    @classmethod
-    def parse(cls, text: str) -> "TatePolynomial":
-        """Parse the textual rendering, e.g. ``"1 + 2L + 2L^2"`` or ``"0"``."""
-        text = text.strip()
-        if text == "0":
-            return cls.zero()
-        coeffs: dict[int, int] = {}
-        for raw in text.split("+"):
-            term = raw.strip()
-            m = _TERM_RE.match(term)
-            if not m or (m.group(1) is None and m.group(2) is None):
-                raise ValueError(f"bad twist-polynomial term: {term!r}")
-            a = int(m.group(1)) if m.group(1) is not None else 1
-            if m.group(2) is None:
-                k = 0
-            elif m.group(3) is not None:
-                k = int(m.group(3))
-            else:
-                k = 1
-            coeffs[k] = coeffs.get(k, 0) + a
-        return cls(coeffs)
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -98,10 +72,6 @@ class TatePolynomial:
     def degree(self) -> int:
         """Max stored exponent; -1 for the zero polynomial."""
         return max(self._coeffs) if self._coeffs else -1
-
-    def eval_at_one(self) -> int:
-        """Total multiplicity sum(a_k); a semiring homomorphism to N."""
-        return sum(self._coeffs.values())
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)

@@ -1,5 +1,9 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
+import motivecalc
 from motivecalc.cli import main
 
 
@@ -65,6 +69,11 @@ class TestExprCommands:
         code, _, err = run(capsys, "hodge", "X * L")
         assert code == 2
 
+    def test_missing_realization_names_atom(self, capsys):
+        code, out, err = run(capsys, "hodge", "X")
+        assert (code, out) == (2, "")
+        assert err == "error: no Hodge realization for atom 'X'\n"
+
 
 class TestSolve:
     def test_gm_cancellation(self, capsys):
@@ -84,6 +93,11 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "1 + L", "P(0) * L^0", "Q(6)")
         assert code == 1
         assert "NotDivisible" in out or "NotASummand" in out
+
+    def test_zero_tensor_factor_exit_2(self, capsys):
+        code, out, err = run(capsys, "solve", "0", "P(1)", "P(1)")
+        assert (code, out) == (2, "")
+        assert err == "error: tensor factor must be nonzero\n"
 
 
 class TestVerify:
@@ -144,3 +158,19 @@ class TestAtlas:
         path.write_text("{not json")
         code, _, err = run(capsys, "euler", "--atlas", str(path), "K3")
         assert code == 2
+
+
+def test_runtime_is_pure_stdlib():
+    # diff against the modules loaded at start-up, which site hooks may extend
+    script = (
+        "import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+        "import motivecalc, motivecalc.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = str(Path(motivecalc.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", script, src], capture_output=True, text=True, check=True
+    ).stdout
+    loaded = {name.split(".")[0] for name in out.split()}
+    assert "motivecalc" in loaded
+    assert loaded - {"motivecalc"} <= sys.stdlib_module_names

@@ -5,7 +5,6 @@ from motivecalc import (
     Atom,
     NormalForm,
     Sum,
-    TatePolynomial,
     TensorTwist,
     ladder,
     normalize,
@@ -21,7 +20,7 @@ from motivecalc.formulas import DimensionMismatchError
 
 from conftest import motive_exprs, session_atlas
 
-P = TatePolynomial.parse
+P = Parser().parse_polynomial
 
 
 @pytest.fixture()

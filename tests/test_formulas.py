@@ -11,7 +11,6 @@ from motivecalc import (
     TatePolynomial,
     blow_up,
     codim_rank_leq,
-    corank_codim,
     dim_of,
     kunneth,
     ladder,
@@ -21,9 +20,11 @@ from motivecalc import (
     realize_hodge,
 )
 
+from motivecalc.dsl import Parser
+
 from conftest import session_atlas
 
-P = TatePolynomial.parse
+P = Parser().parse_polynomial
 
 
 @pytest.fixture(scope="module")
@@ -133,9 +134,10 @@ class TestCodim:
         assert codim_rank_leq(3, 4, r) == expected
 
     def test_corank_helper(self):
-        assert corank_codim(3, 4, 1) == 2
-        assert corank_codim(3, 4, 2) == 6
-        assert corank_codim(3, 4, 3) == 12
+        # the corank >= k stratum is the rank <= min(e, f) - k locus
+        assert codim_rank_leq(3, 4, min(3, 4) - 1) == 2
+        assert codim_rank_leq(3, 4, min(3, 4) - 2) == 6
+        assert codim_rank_leq(3, 4, min(3, 4) - 3) == 12
 
     def test_invalid_rank(self):
         with pytest.raises(InvalidRankError):

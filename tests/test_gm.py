@@ -1,14 +1,16 @@
+from collections import Counter
+
 import pytest
 
 from motivecalc import (
     NormalForm,
-    TatePolynomial,
     blow_up,
     kunneth,
     ladder,
     normalize,
     realize_hodge,
 )
+import motivecalc.gm as gm
 from motivecalc.gm import (
     GMScenario,
     ScenarioError,
@@ -25,10 +27,11 @@ from motivecalc.gm import (
     torsion_report,
     verify_identity,
 )
+from motivecalc.dsl import Parser
 from motivecalc.hodge import FREE, UNKNOWN, CohomologyProfile
 from motivecalc.motive import Atom
 
-P = TatePolynomial.parse
+P = Parser().parse_polynomial
 
 M1 = P("1 + 2L + 2L^2 + 2L^3 + L^4")
 M2_TWIST = P("L + 3L^2 + 5L^3 + 5L^4 + 3L^5 + L^6")
@@ -224,3 +227,21 @@ def test_full_report_failure_path():
     report = full_report(perturbed(GMScenario(), codim_d2=5))
     assert not report["identity_ok"]
     assert "solved" not in report
+
+
+def test_full_report_derives_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(gm, "build_lhs", counted("build_lhs", gm.build_lhs))
+    monkeypatch.setattr(gm, "build_rhs", counted("build_rhs", gm.build_rhs))
+    monkeypatch.setattr(GMScenario, "validate", counted("validate", GMScenario.validate))
+    assert full_report(GMScenario())["identity_ok"]
+    assert calls["build_lhs"] == calls["build_rhs"] == 1
+    assert calls["validate"] <= 1

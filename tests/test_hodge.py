@@ -9,7 +9,6 @@ from motivecalc import (
     NormalForm,
     SymbolicRank,
     TatePolynomial,
-    betti_polynomial,
     check_symmetries,
     k3,
     ladder,
@@ -18,11 +17,11 @@ from motivecalc import (
     quadric,
     realize_hodge,
     torsion_status,
-    twist_diamond,
 )
-from motivecalc.hodge import FREE, UNKNOWN, SymbolicRankError, euler_characteristic
+from motivecalc.dsl import Parser
+from motivecalc.hodge import FREE, UNKNOWN
 
-P = TatePolynomial.parse
+P = Parser().parse_polynomial
 ONE = TatePolynomial.one()
 
 K3 = k3().diamond
@@ -57,7 +56,7 @@ class TestRealizeHodge:
         assert d.hodge(3, 1) == d.hodge(1, 3) == 1
 
     def test_missing_realization(self):
-        with pytest.raises(MissingRealizationError):
+        with pytest.raises(MissingRealizationError, match="no Hodge realization for atom 'mystery'"):
             realize_hodge(NormalForm({"mystery": ONE}), {})
 
     def test_additive_over_sums(self):
@@ -71,28 +70,31 @@ class TestRealizeHodge:
                 assert left.hodge(p, q) == da.hodge(p, q) + db.hodge(p, q)
 
 
+def twisted(d: HodgeDiamond, k: int) -> HodgeDiamond:
+    """Realization of a single atom tensored by L^k."""
+    return realize_hodge(NormalForm({"S": TatePolynomial.lefschetz(k)}), {"S": d})
+
+
 class TestTwistDiamond:
     def test_k3_by_two(self):
-        d = twist_diamond(K3, 2)
+        d = twisted(K3, 2)
+        assert d.n == 4
         assert d.hodge(3, 3) == 20
         assert d.hodge(2, 2) == d.hodge(4, 4) == 1
         assert d.hodge(2, 4) == d.hodge(4, 2) == 1
-        assert check_symmetries(d)
 
     def test_zero_is_identity(self):
-        assert twist_diamond(Q6, 0) == Q6
+        assert twisted(Q6, 0) == Q6
 
     def test_point_by_three(self):
         pt = HodgeDiamond(0, {(0, 0): 1})
-        d = twist_diamond(pt, 3)
+        d = twisted(pt, 3)
         assert d.entries() == [(3, 3, 1)]
 
     def test_matches_realize(self):
-        # same entries; ambient dimension conventions differ (realize uses the
-        # top weight, twist keeps self-duality about the shifted center)
-        via_realize = realize_hodge(NormalForm({"K3": P("L^2")}), {"K3": K3})
-        via_twist = twist_diamond(K3, 2)
-        assert via_realize.entries() == via_twist.entries()
+        # every entry moves by (k, k); the ambient dimension is the top weight
+        d = twisted(K3, 2)
+        assert d.entries() == [(p + 2, q + 2, v) for p, q, v in K3.entries()]
 
 
 class TestCheckSymmetries:
@@ -160,32 +162,27 @@ class TestTorsionStatus:
         assert torsion_status(nf, self.make_table(hilb_free=False)) == UNKNOWN
 
     def test_missing_profile(self):
-        with pytest.raises(MissingRealizationError):
+        with pytest.raises(MissingRealizationError, match="no cohomology profile for atom 'B'"):
             torsion_status(NormalForm({"B": ONE}), {})
 
 
 class TestBettiPolynomial:
     def test_gm_sixfold(self):
-        b = betti_polynomial(gm_diamond())
+        b = gm_diamond().betti()
         assert b == (1, 0, 1, 0, 2, 0, 24, 0, 2, 0, 1, 0, 1)
-        assert euler_characteristic(gm_diamond()) == 32
+        assert gm_diamond().euler() == 32
 
     def test_even_quadric(self):
-        assert betti_polynomial(Q6) == (1, 0, 1, 0, 1, 0, 2, 0, 1, 0, 1, 0, 1)
+        assert Q6.betti() == (1, 0, 1, 0, 1, 0, 2, 0, 1, 0, 1, 0, 1)
         assert Q6.euler() == 8
 
     def test_point(self):
-        assert betti_polynomial(HodgeDiamond(0, {(0, 0): 1})) == (1,)
-
-    def test_symbolic_rank_rejected(self):
-        prof = lefschetz_section_profile(projective_space(2).diamond, True)
-        with pytest.raises(SymbolicRankError):
-            betti_polynomial(prof)
+        assert HodgeDiamond(0, {(0, 0): 1}).betti() == (1,)
 
     def test_degree_is_twice_top_weight(self):
         nf = NormalForm({"B": ladder(0, 4)})
         d = realize_hodge(nf, {"B": Q6})
-        assert len(betti_polynomial(d)) - 1 == 2 * 10
+        assert len(d.betti()) - 1 == 2 * 10
 
 
 def test_symbolic_rank_arithmetic():
@@ -204,6 +201,9 @@ def test_pretty_layout_is_triangular():
 @given(a=st.integers(0, 3), b=st.integers(1, 25), k=st.integers(0, 4))
 def test_twist_preserves_symmetry_and_euler(a, b, k):
     d = HodgeDiamond(2, {(0, 0): 1, (2, 2): 1, (2, 0): a, (0, 2): a, (1, 1): b})
-    t = twist_diamond(d, k)
-    assert check_symmetries(t)
+    t = twisted(d, k)
+    c = 2 + 2 * k  # duality is about the shifted center (1 + k, 1 + k)
+    for p in range(t.n + 1):
+        for q in range(t.n + 1):
+            assert t.hodge(p, q) == t.hodge(q, p) == t.hodge(c - p, c - q)
     assert t.euler() == d.euler()

@@ -3,10 +3,17 @@ from hypothesis import given, settings
 
 from motivecalc import ONE, ZERO, L, NotDivisibleError, TatePolynomial, ladder
 
+from motivecalc.dsl import Parser
+
 from conftest import nonzero_tate_polys, tate_polys
 
 
-P = TatePolynomial.parse
+P = Parser().parse_polynomial
+
+
+def total(p: TatePolynomial) -> int:
+    """Evaluation at L = 1: the total multiplicity sum(a_k)."""
+    return sum(p.coeffs.values())
 
 
 class TestArithmetic:
@@ -60,13 +67,13 @@ class TestDivision:
 
 class TestEvalAtOne:
     def test_m1_total(self):
-        assert P("1 + 2L + 2L^2 + 2L^3 + L^4").eval_at_one() == 8
+        assert total(P("1 + 2L + 2L^2 + 2L^3 + L^4")) == 8
 
     def test_zero(self):
-        assert ZERO.eval_at_one() == 0
+        assert total(ZERO) == 0
 
     def test_m2_twist_total(self):
-        assert P("L + 3L^2 + 5L^3 + 5L^4 + 3L^5 + L^6").eval_at_one() == 18
+        assert total(P("L + 3L^2 + 5L^3 + 5L^4 + 3L^5 + L^6")) == 18
 
 
 class TestRendering:
@@ -84,11 +91,11 @@ class TestRendering:
 
     @given(tate_polys())
     def test_parse_roundtrip(self, p):
-        assert TatePolynomial.parse(str(p)) == p
+        assert P(str(p)) == p
 
     def test_invalid_text(self):
         with pytest.raises(ValueError):
-            TatePolynomial.parse("L + x")
+            P("L + x")
 
 
 class TestSemiringProperties:
@@ -110,8 +117,8 @@ class TestSemiringProperties:
 
     @given(tate_polys(), tate_polys())
     def test_eval_at_one_is_homomorphism(self, p, q):
-        assert (p + q).eval_at_one() == p.eval_at_one() + q.eval_at_one()
-        assert (p * q).eval_at_one() == p.eval_at_one() * q.eval_at_one()
+        assert total(p + q) == total(p) + total(q)
+        assert total(p * q) == total(p) * total(q)
 
 
 def test_invariants_rejected():
