@@ -148,11 +148,13 @@ def hilb2_surface(s: AtlasEntry) -> AtlasEntry:
 
 
 class Atlas:
-    """Append-only cache of atlas entries sharing one atom registry."""
+    """Append-only cache of atlas entries sharing one atom registry; it builds
+    each builtin (constructor and arguments) once per instance."""
 
     def __init__(self, registry: AtomRegistry | None = None):
         self.registry = registry if registry is not None else AtomRegistry()
         self._entries: dict[str, AtlasEntry] = {}
+        self._built: dict[tuple, AtlasEntry] = {}
 
     def add(self, entry: AtlasEntry) -> AtlasEntry:
         existing = self._entries.get(entry.atom.name)
@@ -172,23 +174,34 @@ class Atlas:
 
     # builtin constructors, cached under canonical names
 
+    def _build(self, constructor, *args) -> AtlasEntry:
+        # keyed only once add() succeeds, so a clashing entry fails every call
+        key = (constructor, *args)
+        entry = self._built.get(key)
+        if entry is None:
+            entry = self._built[key] = self.add(constructor(*args))
+        return entry
+
     def projective_space(self, n: int) -> AtlasEntry:
-        return self.add(projective_space(n))
+        return self._build(projective_space, n)
 
     def quadric(self, n: int) -> AtlasEntry:
-        return self.add(quadric(n))
+        return self._build(quadric, n)
 
     def grassmannian(self, k: int, n: int) -> AtlasEntry:
-        return self.add(grassmannian(k, n))
+        return self._build(grassmannian, k, n)
 
     def k3(self) -> AtlasEntry:
-        return self.add(k3())
+        return self._build(k3)
 
     def hilb2(self, name: str) -> AtlasEntry:
-        base = self.get(name)
-        if base is None:
-            raise KeyError(name)
-        return self.add(hilb2_surface(base))
+        entry = self._built.get((hilb2_surface, name))
+        if entry is None:
+            base = self.get(name)
+            if base is None:
+                raise KeyError(name)
+            entry = self._built[hilb2_surface, name] = self.add(hilb2_surface(base))
+        return entry
 
     def diamond_table(self) -> dict[str, HodgeDiamond]:
         return {name: e.diamond for name, e in self._entries.items()}

@@ -40,16 +40,38 @@ INPUT_ERRORS = (
 )
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _load_extra_atlas(atlas: Atlas, path: str) -> None:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    for item in data:
-        h = {(p, q): v for p, q, v in item["diamond"]["h"]} if "diamond" in item else {
-            (p, q): v for p, q, v in item["h"]
-        }
+    if not isinstance(data, list):
+        raise ValueError(f"atlas file {path}: top level must be a list of objects")
+    for i, item in enumerate(data):
+        if not isinstance(item, dict):
+            raise ValueError(f"atlas file {path}: item {i} must be an object")
+
+        def bad(field: str, want: str) -> ValueError:
+            return ValueError(f"atlas file {path}: item {i}: {field!r} must be {want}")
+
+        name, dim = item.get("name"), item.get("dim")
+        if not isinstance(name, str):
+            raise bad("name", "a string")
+        if not _is_int(dim) or dim < 0:
+            raise bad("dim", "a nonnegative integer")
+        field, h = "h", item.get("h")
+        if "diamond" in item:
+            diamond = item["diamond"]
+            field, h = "diamond.h", diamond.get("h") if isinstance(diamond, dict) else None
+        if not isinstance(h, list) or not all(
+            isinstance(t, list) and len(t) == 3 and all(map(_is_int, t)) for t in h
+        ):
+            raise bad(field, "a list of [p, q, v] integer triples")
         entry = AtlasEntry(
-            atom=MotiveAtom(item["name"], item["dim"], frozenset({"smooth_projective"})),
-            diamond=HodgeDiamond(item["dim"], h),
+            atom=MotiveAtom(name, dim, frozenset({"smooth_projective"})),
+            diamond=HodgeDiamond(dim, {(p, q): v for p, q, v in h}),
             torsion_free=bool(item.get("torsion_free", False)),
             provenance=f"user atlas file {path}",
         )

@@ -61,26 +61,34 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<NAT>\d+)|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)|(?P<
 
 BUILTINS = {"P", "Q", "Gr", "Hilb2", "PB", "Bl", "Fib", "Prod"}
 
+# deepest nesting of parentheses and builtin arguments the parser accepts;
+# each level costs up to four Python frames
+MAX_DEPTH = 200
+
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
     pos = 0
+    line, line_start = 1, 0  # line of `pos` and its start offset; tokens hold no newline
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             rest = text[pos:].lstrip()
             if not rest:
                 break
-            bad_at = len(text) - len(rest)
-            line = text.count("\n", 0, bad_at) + 1
-            col = bad_at - (text.rfind("\n", 0, bad_at) + 1) + 1
-            raise DslSyntaxError(f"unexpected character {rest[0]!r}", line, col)
-        start = m.start(m.lastgroup)
-        line = text.count("\n", 0, start) + 1
-        col = start - (text.rfind("\n", 0, start) + 1) + 1
+            start = len(text) - len(rest)
+        else:
+            start = m.start(m.lastgroup)
+        newlines = text.count("\n", pos, start)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", pos, start) + 1
+        col = start - line_start + 1
+        if m is None:
+            raise DslSyntaxError(f"unexpected character {text[start]!r}", line, col)
         tokens.append(Token(m.lastgroup, m.group(m.lastgroup), line, col))
         pos = m.end()
-    last_line = text.count("\n") + 1
+    last_line = line + text.count("\n", pos)
     tokens.append(Token("END", "", last_line, len(text) + 1))
     return tokens
 
@@ -131,6 +139,7 @@ class Parser:
     def _parse_all(self, text: str, rule):
         self._tokens = tokenize(text)
         self._i = 0
+        self._depth = 0
         result = rule()
         tok = self._peek()
         if tok.kind != "END":
@@ -138,10 +147,17 @@ class Parser:
         return result
 
     def _expr(self) -> MotiveExpr:
+        if self._depth == MAX_DEPTH:
+            tok = self._peek()
+            raise DslSyntaxError(
+                f"expression nested deeper than {MAX_DEPTH} levels", tok.line, tok.col
+            )
+        self._depth += 1
         terms = [self._term()]
         while self._peek().text == "+":
             self._next()
             terms.append(self._term())
+        self._depth -= 1
         return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
     def _term(self) -> MotiveExpr:

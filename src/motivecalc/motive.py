@@ -207,16 +207,21 @@ class NormalForm:
 
 def normalize(e: MotiveExpr) -> NormalForm:
     """Flatten sums and distribute twists into the canonical atom -> polynomial map."""
-    if isinstance(e, (Atom, Unknown)):
-        return NormalForm({e.name: ONE})
-    if isinstance(e, Sum):
-        out = NormalForm()
-        for child in e.children:
-            out = out + normalize(child)
-        return out
-    if isinstance(e, TensorTwist):
-        return normalize(e.child).scale(e.twist)
-    raise TypeError(f"not a MotiveExpr: {e!r}")
+    acc: dict[str, dict[int, int]] = {}
+    stack = [(e, ONE)]  # (node, product of the twists above it); leftmost child on top
+    while stack:
+        node, twist = stack.pop()
+        if isinstance(node, (Atom, Unknown)):
+            coeffs = acc.setdefault(node.name, {})
+            for k, a in twist.items():
+                coeffs[k] = coeffs.get(k, 0) + a
+        elif isinstance(node, Sum):
+            stack.extend((c, twist) for c in reversed(node.children))
+        elif isinstance(node, TensorTwist):
+            stack.append((node.child, twist * node.twist))
+        else:
+            raise TypeError(f"not a MotiveExpr: {node!r}")
+    return NormalForm({name: TatePolynomial(c) for name, c in acc.items()})
 
 
 def dim_of(e: MotiveExpr, registry: AtomRegistry) -> int:
@@ -225,13 +230,19 @@ def dim_of(e: MotiveExpr, registry: AtomRegistry) -> int:
     Unknown placeholders are allowed as long as their declared dimension is
     registered (the solve pipeline needs dimension checks on both sides).
     """
-    if isinstance(e, (Atom, Unknown)):
-        return registry.get(e.name).dim
-    if isinstance(e, Sum):
-        return max(dim_of(c, registry) for c in e.children)
-    if isinstance(e, TensorTwist):
-        return dim_of(e.child, registry) + e.twist.degree
-    raise TypeError(f"not a MotiveExpr: {e!r}")
+    top = 0
+    stack = [(e, 0)]  # (node, total degree of the twists above it)
+    while stack:
+        node, shift = stack.pop()
+        if isinstance(node, (Atom, Unknown)):
+            top = max(top, registry.get(node.name).dim + shift)
+        elif isinstance(node, Sum):
+            stack.extend((c, shift) for c in reversed(node.children))
+        elif isinstance(node, TensorTwist):
+            stack.append((node.child, shift + node.twist.degree))
+        else:
+            raise TypeError(f"not a MotiveExpr: {node!r}")
+    return top
 
 
 CANCELLATION_NOTE = (

@@ -112,9 +112,14 @@ class TatePolynomial:
     def __pow__(self, n: int) -> "TatePolynomial":
         if n < 0:
             raise ValueError("negative power")
-        out = TatePolynomial.one()
-        for _ in range(n):
-            out = out * self
+        # exponentiation by squaring: O(log n) multiplications
+        out, base = TatePolynomial.one(), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def shift(self, k: int) -> "TatePolynomial":

@@ -249,3 +249,39 @@ def test_atlas_caching_and_dump():
     names = [d["name"] for d in dump]
     assert names == sorted(names)
     assert "Hilb2K3" in names
+
+
+def test_atlas_builds_each_builtin_once(monkeypatch):
+    import motivecalc.atlas as atlas_module
+    from motivecalc.dsl import Parser
+
+    calls = []
+
+    def counting_grassmannian(k, n):
+        calls.append((k, n))
+        return grassmannian(k, n)
+
+    monkeypatch.setattr(atlas_module, "grassmannian", counting_grassmannian)
+    atlas = Atlas()
+    Parser(atlas).parse("Gr(2,5) + Gr(2,5) * L")
+    assert calls == [(2, 5)]
+    Parser(Atlas()).parse("Gr(2,5)")
+    assert calls == [(2, 5), (2, 5)]  # a fresh atlas builds again
+
+
+def test_clashing_user_entry_fails_on_every_call():
+    atlas = Atlas()
+    fake = projective_space(3)
+    diamond = HodgeDiamond(3, {(0, 0): 1, (1, 1): 2, (2, 2): 2, (3, 3): 1})
+    atlas.add(AtlasEntry(fake.atom, diamond, True, "user entry"))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="entry 'P3' already present"):
+            atlas.projective_space(3)
+
+
+def test_hilb2_built_once_and_requires_base():
+    atlas = Atlas()
+    with pytest.raises(KeyError):
+        atlas.hilb2("K3")
+    atlas.k3()
+    assert atlas.hilb2("K3") is atlas.hilb2("K3")

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import motivecalc
 from motivecalc.cli import main
 
@@ -158,6 +160,40 @@ class TestAtlas:
         path.write_text("{not json")
         code, _, err = run(capsys, "euler", "--atlas", str(path), "K3")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"name": "S", "dim": 2, "h": []}, "top level must be a list of objects"),
+            ([["S", 2]], "item 0 must be an object"),
+            ([{"dim": 2, "h": []}], "item 0: 'name' must be a string"),
+            (
+                [{"name": "S", "dim": "2", "h": [[0, 0, 1], [1, 1, 1], [2, 2, 1]]}],
+                "item 0: 'dim' must be a nonnegative integer",
+            ),
+            ([{"name": "S", "dim": True, "h": []}], "'dim' must be a nonnegative integer"),
+            ([{"name": "S", "dim": -1, "h": []}], "'dim' must be a nonnegative integer"),
+            ([{"name": "S", "dim": 2}], "'h' must be a list of [p, q, v] integer triples"),
+            ([{"name": "S", "dim": 2, "h": [[0, 0]]}], "'h' must be a list of"),
+            ([{"name": "S", "dim": 2, "h": [[0, 0, "1"]]}], "'h' must be a list of"),
+            ([{"name": "S", "dim": 2, "diamond": 5}], "'diamond.h' must be a list of"),
+        ],
+    )
+    def test_atlas_schema_violation_exit_2(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "normalize", "--atlas", str(path), "P(1)")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: atlas file ") and message in err
+        assert len(err.splitlines()) == 1
+
+
+def test_deep_nesting_exit_2(capsys):
+    code, out, err = run(capsys, "dim", "(" * 3000 + "P(1)" + ")" * 3000)
+    assert code == 2
+    assert out == ""
+    assert err == "error: expression nested deeper than 200 levels (line 1, column 201)\n"
 
 
 def test_runtime_is_pure_stdlib():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 
@@ -5,16 +7,19 @@ from motivecalc import (
     Atom,
     NormalForm,
     Sum,
+    TatePolynomial,
     TensorTwist,
     ladder,
     normalize,
     print_expr,
 )
 from motivecalc.dsl import (
+    MAX_DEPTH,
     ArityError,
     DslSyntaxError,
     Parser,
     UnknownIdentifierError,
+    tokenize,
 )
 from motivecalc.formulas import DimensionMismatchError
 
@@ -110,6 +115,79 @@ class TestErrors:
     def test_trailing_input(self, parser):
         with pytest.raises(DslSyntaxError):
             parser.parse("K3 K3")
+
+
+def naive_position(text, at):
+    """1-based (line, column) of offset `at`, counted from offset 0."""
+    return text.count("\n", 0, at) + 1, at - (text.rfind("\n", 0, at) + 1) + 1
+
+
+def naive_tokens(text):
+    """(kind, text, line, col) of every token, each located from offset 0."""
+    token = r"(?P<NAT>\d+)|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)|(?P<SYM>[+*^(),])"
+    out = [
+        (m.lastgroup, m.group(), *naive_position(text, m.start()))
+        for m in re.finditer(token, text)
+    ]
+    # END keeps the last line and, as before, the offset past the text as column
+    return out + [("END", "", text.count("\n") + 1, len(text) + 1)]
+
+
+MULTILINE_PROGRAMS = [
+    "Q(6) + K3 * L^2",
+    "\nQ(6)\n+ K3 * L^2\n",
+    "\n\n  Q(6) +\n\n\n   K3 *\n L^2\n\n",
+    "Fib(Q(6),\n  2)\n\n+ P(4) * (1 +\n 2L)   \n",
+    "\n" * 5,
+    "",
+]
+
+
+class TestTokenizePositions:
+    @pytest.mark.parametrize("text", MULTILINE_PROGRAMS)
+    def test_matches_naive_reference(self, text):
+        got = [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+        assert got == naive_tokens(text)
+
+    @pytest.mark.parametrize("text", ["Q(6) +\n\n  K3 @ L", "\nQ(6)\n +  K3 * L^2 $\n"])
+    def test_error_matches_naive_reference(self, text):
+        with pytest.raises(DslSyntaxError) as exc:
+            tokenize(text)
+        bad = next(i for i, ch in enumerate(text) if ch in "@$")
+        assert (exc.value.line, exc.value.col) == naive_position(text, bad)
+        assert exc.value.line == 3
+
+    def test_parse_error_on_line_three(self, parser):
+        with pytest.raises(DslSyntaxError) as exc:
+            parser.parse("Q(6)\n+ K3 * L^2\n+ + P(4)")
+        assert (exc.value.line, exc.value.col) == (3, 3)
+
+
+class TestNestingDepth:
+    def test_deepest_accepted(self, parser):
+        depth = MAX_DEPTH - 1  # the outermost expression is the first level
+        e = parser.parse("(" * depth + "K3" + ")" * depth)
+        assert e == Atom("K3")
+
+    def test_deeper_rejected_with_position(self, parser):
+        with pytest.raises(DslSyntaxError) as exc:
+            parser.parse("(" * 3000 + "K3" + ")" * 3000)
+        assert str(exc.value) == (
+            f"expression nested deeper than {MAX_DEPTH} levels (line 1, column {MAX_DEPTH + 1})"
+        )
+
+    def test_builtin_arguments_count(self, parser):
+        with pytest.raises(DslSyntaxError, match="nested deeper"):
+            parser.parse("PB(" * MAX_DEPTH + "K3" + ", 1)" * MAX_DEPTH)
+
+    def test_siblings_do_not_add_up(self, parser):
+        e = parser.parse(" + ".join(["(K3)"] * (2 * MAX_DEPTH)))
+        assert normalize(e) == NormalForm({"K3": TatePolynomial({0: 2 * MAX_DEPTH})})
+
+    def test_parser_reusable_after_depth_error(self, parser):
+        with pytest.raises(DslSyntaxError):
+            parser.parse("(" * 3000 + "K3" + ")" * 3000)
+        assert parser.parse("(K3)") == Atom("K3")
 
 
 class TestPrintRoundTrip:

@@ -196,3 +196,33 @@ def test_registry_rejects_conflicting_reregistration():
     reg.register(MotiveAtom("B", 6))  # identical is fine
     with pytest.raises(ValueError):
         reg.register(MotiveAtom("B", 5))
+
+
+class TestDeepTrees:
+    DEPTH = 5000
+
+    @pytest.fixture
+    def registry(self):
+        reg = AtomRegistry()
+        reg.register(MotiveAtom("B", 6))
+        reg.register(MotiveAtom("pt", 0))
+        return reg
+
+    def test_twist_chain(self, registry):
+        e = Atom("B")
+        for _ in range(self.DEPTH):
+            e = TensorTwist(e, L)
+        assert normalize(e) == NormalForm({"B": TatePolynomial({self.DEPTH: 1})})
+        assert dim_of(e, registry) == 6 + self.DEPTH
+
+    def test_alternating_sum_twist_chain(self, registry):
+        # pt + (pt + (pt + ...) * L) * L: one pt per twist level
+        e = Atom("pt")
+        for _ in range(self.DEPTH):
+            e = Sum((Atom("pt"), TensorTwist(e, L)))
+        assert normalize(e) == NormalForm({"pt": ladder(0, self.DEPTH)})
+        assert dim_of(Sum((e, Atom("B"))), registry) == self.DEPTH
+
+    def test_atoms_keep_left_to_right_order(self):
+        e = Sum((Atom("Q6"), TensorTwist(Sum((Atom("K3"), Atom("P2"))), L), Atom("Q6")))
+        assert list(normalize(e).terms) == ["Q6", "K3", "P2"]

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motivecalc import ONE, ZERO, L, NotDivisibleError, TatePolynomial, ladder
 
@@ -43,6 +44,19 @@ class TestArithmetic:
     def test_degree_law(self):
         p, q = P("1 + L^3"), P("L^2 + L^4")
         assert (p * q).degree == p.degree + q.degree
+
+
+class TestPower:
+    @given(tate_polys(max_exp=5, max_coeff=5, max_size=4), st.integers(0, 12))
+    def test_matches_repeated_multiplication(self, p, n):
+        expected = ONE
+        for _ in range(n):
+            expected = expected * p
+        assert p**n == expected
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="negative power"):
+            L**-1
 
 
 class TestDivision:
