@@ -13,7 +13,6 @@ from .motive import (
     Solved,
     Sum,
     TensorTwist,
-    Unknown,
     UnregisteredAtomError,
     dim_of,
     normalize,
@@ -47,7 +46,6 @@ from .formulas import (
     blow_up,
     codim_rank_leq,
     kunneth,
-    p_fibration,
     projective_bundle,
 )
 from .gm import (

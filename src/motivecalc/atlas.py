@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tatepoly import TatePolynomial, ladder
+from .tatepoly import ONE, L, TatePolynomial, ladder
 from .motive import AtomRegistry, MotiveAtom
 from .hodge import HodgeDiamond, check_symmetries
 
@@ -33,22 +33,24 @@ class AtlasEntry:
             raise ValueError(f"diamond of {self.atom.name} fails symmetry checks")
 
 
-def _diagonal(poly: TatePolynomial) -> HodgeDiamond:
-    n = poly.degree
-    return HodgeDiamond(n, {(k, k): a for k, a in poly.items()})
+def _cellular(name: str, cells: TatePolynomial, provenance: str) -> AtlasEntry:
+    """Entry of a torsion-free cellular variety with cells[k] cells of
+    dimension k: its dimension is the top cell degree and its diamond is
+    diagonal, h^{k,k} = cells[k]."""
+    n = cells.degree
+    return AtlasEntry(
+        atom=MotiveAtom(name, n, frozenset({"smooth_projective", "cellular"})),
+        diamond=HodgeDiamond(n, {(k, k): a for k, a in cells.items()}),
+        torsion_free=True,
+        provenance=provenance,
+        cells=cells,
+    )
 
 
 def projective_space(n: int) -> AtlasEntry:
     if n < 0:
         raise ValueError("n must be >= 0")
-    cells = ladder(0, n)
-    return AtlasEntry(
-        atom=MotiveAtom(f"P{n}", n, frozenset({"smooth_projective", "cellular"})),
-        diamond=_diagonal(cells),
-        torsion_free=True,
-        provenance=f"projective space of dimension {n}",
-        cells=cells,
-    )
+    return _cellular(f"P{n}", ladder(0, n), f"projective space of dimension {n}")
 
 
 def quadric(n: int) -> AtlasEntry:
@@ -58,14 +60,8 @@ def quadric(n: int) -> AtlasEntry:
         raise ValueError("n must be >= 1")
     cells = ladder(0, n)
     if n % 2 == 0:
-        cells = cells + TatePolynomial.lefschetz(n // 2)
-    return AtlasEntry(
-        atom=MotiveAtom(f"Q{n}", n, frozenset({"smooth_projective", "cellular"})),
-        diamond=_diagonal(cells),
-        torsion_free=True,
-        provenance=f"smooth quadric of dimension {n}",
-        cells=cells,
-    )
+        cells = cells + L ** (n // 2)
+    return _cellular(f"Q{n}", cells, f"smooth quadric of dimension {n}")
 
 
 def gaussian_binomial(n: int, k: int) -> TatePolynomial:
@@ -73,12 +69,12 @@ def gaussian_binomial(n: int, k: int) -> TatePolynomial:
     with q read as the Tate class."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    row = [TatePolynomial.one()]
+    row = [ONE]
     for m in range(1, n + 1):
-        new = [TatePolynomial.one()]
+        new = [ONE]
         for j in range(1, m):
             new.append(row[j - 1] + row[j].shift(j))
-        new.append(TatePolynomial.one())
+        new.append(ONE)
         row = new
     return row[k]
 
@@ -86,14 +82,8 @@ def gaussian_binomial(n: int, k: int) -> TatePolynomial:
 def grassmannian(k: int, n: int) -> AtlasEntry:
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
-    cells = gaussian_binomial(n, k)
-    dim = k * (n - k)
-    return AtlasEntry(
-        atom=MotiveAtom(f"Gr({k},{n})", dim, frozenset({"smooth_projective", "cellular"})),
-        diamond=_diagonal(cells),
-        torsion_free=True,
-        provenance=f"Grassmannian of {k}-planes in {n}-space",
-        cells=cells,
+    return _cellular(
+        f"Gr({k},{n})", gaussian_binomial(n, k), f"Grassmannian of {k}-planes in {n}-space"
     )
 
 

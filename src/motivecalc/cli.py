@@ -11,33 +11,17 @@ import json
 import sys
 
 from .tatepoly import ONE, NotDivisibleError
-from .motive import (
-    MotiveAtom,
-    NotASummandError,
-    UnregisteredAtomError,
-    dim_of,
-    normalize,
-    solve_tensor_factor,
-)
-from .hodge import HodgeDiamond, MissingRealizationError, realize_hodge
+from .motive import MotiveAtom, NotASummandError, dim_of, normalize, solve_tensor_factor
+from .hodge import HodgeDiamond, realize_hodge
 from .atlas import Atlas, AtlasEntry
-from .formulas import DimensionMismatchError, NonCellularFactorError, InvalidRankError
-from .dsl import DslError, Parser, print_twist
+from .dsl import Parser, print_twist
 from .gm import GMScenario, full_report, verify_identity
 
 SCHEMA = "motive-calc/1"
 
-INPUT_ERRORS = (
-    DslError,
-    UnregisteredAtomError,
-    MissingRealizationError,
-    DimensionMismatchError,
-    NonCellularFactorError,
-    InvalidRankError,
-    ValueError,
-    KeyError,
-    OSError,
-)
+# every package input error (DslError, UnregisteredAtomError, ...) subclasses
+# ValueError or KeyError
+INPUT_ERRORS = (ValueError, KeyError, OSError)
 
 
 def _is_int(x) -> bool:

@@ -23,9 +23,9 @@ import re
 from dataclasses import dataclass
 
 from .tatepoly import ONE, TatePolynomial
-from .motive import Atom, MotiveExpr, Sum, TensorTwist, Unknown
+from .motive import Atom, MotiveExpr, Sum, TensorTwist
 from .atlas import Atlas
-from .formulas import blow_up, kunneth, p_fibration, projective_bundle
+from .formulas import blow_up, kunneth, projective_bundle
 
 
 class DslError(ValueError):
@@ -67,16 +67,15 @@ MAX_DEPTH = 200
 
 
 def tokenize(text: str) -> list[Token]:
+    """Tokens with 1-based (line, column); END sits just past the text, on
+    its last line."""
     tokens = []
     pos = 0
     line, line_start = 1, 0  # line of `pos` and its start offset; tokens hold no newline
-    while pos < len(text):
+    while True:
         m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            start = len(text) - len(rest)
+        if m is None:  # only whitespace, then the end or a bad character
+            start = len(text) - len(text[pos:].lstrip())
         else:
             start = m.start(m.lastgroup)
         newlines = text.count("\n", pos, start)
@@ -85,12 +84,12 @@ def tokenize(text: str) -> list[Token]:
             line_start = text.rfind("\n", pos, start) + 1
         col = start - line_start + 1
         if m is None:
-            raise DslSyntaxError(f"unexpected character {text[start]!r}", line, col)
+            if start < len(text):
+                raise DslSyntaxError(f"unexpected character {text[start]!r}", line, col)
+            tokens.append(Token("END", "", line, col))
+            return tokens
         tokens.append(Token(m.lastgroup, m.group(m.lastgroup), line, col))
         pos = m.end()
-    last_line = line + text.count("\n", pos)
-    tokens.append(Token("END", "", last_line, len(text) + 1))
-    return tokens
 
 
 class Parser:
@@ -186,8 +185,7 @@ class Parser:
         if tok.text == "K3":
             self.atlas.k3()
         if tok.text in self.atlas.registry:
-            atom = self.atlas.registry.get(tok.text)
-            return Unknown(tok.text) if "unknown" in atom.tags else Atom(tok.text)
+            return Atom(tok.text)
         raise UnknownIdentifierError(f"unknown identifier {tok.text!r}", tok.line, tok.col)
 
     def _builtin(self, tok: Token) -> MotiveExpr:
@@ -236,7 +234,7 @@ class Parser:
             self._expect(",")
             k = self._nat("a fiber dimension")
             self._expect(")")
-            return p_fibration(base, k)
+            return projective_bundle(base, k + 1)
         if name == "Bl":
             ambient = self._expr()
             self._expect(",")
@@ -315,13 +313,24 @@ def print_twist(poly: TatePolynomial) -> str:
 def print_expr(e: MotiveExpr) -> str:
     """Render a tree back to DSL source; reparsing yields an expression with
     the same normal form."""
-    if isinstance(e, (Atom, Unknown)):
-        return e.name
-    if isinstance(e, Sum):
-        return " + ".join(print_expr(c) for c in e.children)
-    if isinstance(e, TensorTwist):
-        inner = print_expr(e.child)
-        if isinstance(e.child, Sum):
-            inner = f"({inner})"
-        return f"{inner} * {print_twist(e.twist)}"
-    raise TypeError(f"not a MotiveExpr: {e!r}")
+    out: list[str] = []
+    stack: list[MotiveExpr | str] = [e]  # nodes and literal text; leftmost on top
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Atom):
+            out.append(node.name)
+        elif isinstance(node, Sum):
+            for c in reversed(node.children[1:]):
+                stack += (c, " + ")
+            stack.append(node.children[0])
+        elif isinstance(node, TensorTwist):
+            twist = f" * {print_twist(node.twist)}"
+            if isinstance(node.child, Sum):
+                stack += (")" + twist, node.child, "(")
+            else:
+                stack += (twist, node.child)
+        else:
+            raise TypeError(f"not a MotiveExpr: {node!r}")
+    return "".join(out)

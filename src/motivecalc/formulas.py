@@ -1,6 +1,7 @@
-"""Geometric formula builders: projective bundles, smooth blow-ups, locally
-trivial projective fibrations, products with a cellular factor, and expected
-codimensions of degeneracy loci.
+"""Geometric formula builders: projective bundles (and Zariski-locally-trivial
+projective fibrations, which decompose the same way), smooth blow-ups,
+products with a cellular factor, and expected codimensions of degeneracy
+loci.
 
 These constructors only manipulate decompositions; no ideal-theoretic
 geometry happens here.  Every codimension is an explicit input, validated
@@ -27,21 +28,12 @@ class InvalidRankError(ValueError):
 
 
 def projective_bundle(base: MotiveExpr, r: int) -> MotiveExpr:
-    """Projectivization of a rank-r bundle: base tensored by 1 + L + ... + L^(r-1)."""
+    """Projectivization of a rank-r bundle, or any Zariski-locally-trivial
+    P^(r-1)-fibration: base tensored by 1 + L + ... + L^(r-1), and base
+    itself when r == 1."""
     if r < 1:
         raise ValueError("bundle rank must be >= 1")
-    return TensorTwist(base, ladder(0, r - 1))
-
-
-def p_fibration(base: MotiveExpr, k: int) -> MotiveExpr:
-    """Zariski-locally-trivial P^k-fibration; same decomposition as a
-    projective bundle of rank k+1, kept separate so provenance can
-    distinguish declared fibrations from actual bundles."""
-    if k < 0:
-        raise ValueError("fiber dimension must be >= 0")
-    if k == 0:
-        return base
-    return TensorTwist(base, ladder(0, k))
+    return base if r == 1 else TensorTwist(base, ladder(0, r - 1))
 
 
 def blow_up(

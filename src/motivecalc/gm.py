@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .tatepoly import ONE, TatePolynomial
+from .tatepoly import ONE, L
 from .motive import (
     Atom,
     AtomRegistry,
     MotiveAtom,
     NormalForm,
     Solved,
-    Unknown,
     normalize,
     solve_tensor_factor,
 )
@@ -32,14 +31,7 @@ from .hodge import (
     torsion_status,
 )
 from .atlas import Atlas
-from .formulas import (
-    DimensionMismatchError,
-    blow_up,
-    codim_rank_leq,
-    kunneth,
-    p_fibration,
-    projective_bundle,
-)
+from .formulas import blow_up, codim_rank_leq, kunneth, projective_bundle
 
 
 class ScenarioError(ValueError):
@@ -131,7 +123,7 @@ def _reg(s: GMScenario) -> AtomRegistry | None:
 
 def build_d2(s: GMScenario):
     """The corank-2 degeneracy locus as a fibration over the Hilbert-square divisor."""
-    return p_fibration(Atom("Hilb2QY"), s.d2_fiber)
+    return projective_bundle(Atom("Hilb2QY"), s.d2_fiber + 1)
 
 
 def build_d1_prime(s: GMScenario):
@@ -139,7 +131,7 @@ def build_d1_prime(s: GMScenario):
     psy = projective_bundle(Atom("Y"), s.psy_fiber + 1)
     pbr = projective_bundle(Atom("B"), s.pbr_fiber + 1)
     inner = blow_up(pbr, psy, s.codim_psy, _reg(s))
-    center = p_fibration(build_d2(s), s.rho_fiber)
+    center = projective_bundle(build_d2(s), s.rho_fiber + 1)
     return blow_up(inner, center, s.codim_rho_d2, _reg(s))
 
 
@@ -154,14 +146,14 @@ def build_rhs(s: GMScenario):
 def build_lhs(s: GMScenario):
     """The same variety fibered over the unknown X, blown up along a
     projective fibration over the corank-2 locus."""
-    top = p_fibration(p_fibration(Unknown("X"), s.px_fiber), s.ux_fiber)
-    center = p_fibration(build_d2(s), s.lhs_center_fiber)
+    top = projective_bundle(projective_bundle(Atom("X"), s.px_fiber + 1), s.ux_fiber + 1)
+    center = projective_bundle(build_d2(s), s.lhs_center_fiber + 1)
     return blow_up(top, center, s.codim_lhs_center, _reg(s))
 
 
 def expected_mx(s: GMScenario) -> NormalForm:
     """The candidate answer substituted during verification: B + Y * L^2."""
-    return NormalForm({"B": ONE, "Y": TatePolynomial.lefschetz(2)})
+    return NormalForm({"B": ONE, "Y": L**2})
 
 
 @dataclass(frozen=True)
@@ -182,9 +174,6 @@ class Derivation:
     rhs: NormalForm | None = None
     substituted: NormalForm | None = None
     error: Exception | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
     def sides(self) -> tuple[NormalForm, NormalForm]:
         """The normalized lhs and rhs; re-raises a construction failure."""
@@ -211,11 +200,7 @@ class Derivation:
         unit = lhs.coefficient("X").coefficient(0) >= 1
         status = atom_torsion(rhs, profiles)
         conclusion = torsion_status(rhs, profiles) if unit else UNKNOWN
-        notes = (
-            "a direct sum of Tate twists of torsion-free groups is torsion-free, "
-            "and so is any direct summand of one",
-        )
-        return TorsionCertificate(unit, status, conclusion, notes)
+        return TorsionCertificate(unit, status, conclusion)
 
     def answer(self) -> tuple[Solved, HodgeDiamond, TorsionCertificate]:
         """The solved M(X), its Hodge diamond and its torsion certificate."""
@@ -234,7 +219,7 @@ def verify_identity(s: GMScenario) -> Derivation:
         if s.strict:
             s.validate()
         lhs, rhs = (normalize(build_side(s)) for build_side in (build_lhs, build_rhs))
-    except (ScenarioError, DimensionMismatchError, ValueError) as exc:
+    except ValueError as exc:  # ScenarioError, DimensionMismatchError, bad ranks
         return Derivation(s, False, f"construction failed: {exc}", error=exc)
     substituted = lhs.substitute("X", expected_mx(s))
     if substituted == rhs:
@@ -277,7 +262,6 @@ class TorsionCertificate:
     unit_embedding: bool
     atom_status: dict[str, str]
     conclusion: str
-    notes: tuple[str, ...]
 
 
 def torsion_report(

@@ -109,14 +109,13 @@ class HodgeDiamond:
 
 
 def check_symmetries(d: HodgeDiamond) -> bool:
-    """Conjugation symmetry h^{p,q}=h^{q,p} and duality h^{p,q}=h^{n-p,n-q}."""
+    """Conjugation symmetry h^{p,q}=h^{q,p} and duality h^{p,q}=h^{n-p,n-q}.
+
+    Only stored (nonzero) entries are visited: both maps are involutions, so
+    once every nonzero cell matches its images, no zero cell can have a
+    nonzero image either."""
     n = d.n
-    for p in range(n + 1):
-        for q in range(n + 1):
-            v = d.hodge(p, q)
-            if v != d.hodge(q, p) or v != d.hodge(n - p, n - q):
-                return False
-    return True
+    return all(v == d.hodge(q, p) == d.hodge(n - p, n - q) for p, q, v in d.entries())
 
 
 def realize_hodge(
@@ -167,9 +166,6 @@ class CohomologyProfile:
 
     def all_free(self) -> bool:
         return all(t == FREE for t in self.torsion)
-
-    def rank(self, k: int):
-        return self.ranks[k]
 
     def __str__(self) -> str:
         cells = [f"b{k}={r}" for k, r in enumerate(self.ranks)]

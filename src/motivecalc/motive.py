@@ -1,10 +1,10 @@
 """Expression algebra for motive decompositions.
 
-Expressions are trees built from named atoms (and at most one "unknown"
-placeholder), direct sums, and tensoring by a twist polynomial.  The
-canonical representation is a NormalForm: a map atom-name -> TatePolynomial.
-Equality, summand subtraction, and the solve/cancel step all happen at the
-normal-form level.
+Expressions are trees built from named atoms, direct sums, and tensoring by
+a twist polynomial; an atom to be solved for is an ordinary atom whose
+registry entry carries the "unknown" tag.  The canonical representation is a
+NormalForm: a map atom-name -> TatePolynomial.  Equality, summand
+subtraction, and the solve/cancel step all happen at the normal-form level.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Mapping
 
-from .tatepoly import ONE, TatePolynomial, NotDivisibleError
+from .tatepoly import ONE, ZERO, TatePolynomial
 
 
 class UnregisteredAtomError(KeyError):
@@ -61,9 +61,6 @@ class AtomRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._atoms
 
-    def names(self) -> list[str]:
-        return sorted(self._atoms)
-
 
 # -- expression trees ------------------------------------------------------
 
@@ -85,13 +82,6 @@ class MotiveExpr:
 
 @dataclass(frozen=True)
 class Atom(MotiveExpr):
-    name: str
-
-
-@dataclass(frozen=True)
-class Unknown(MotiveExpr):
-    """A placeholder atom to be solved for (outermost tensor position only)."""
-
     name: str
 
 
@@ -139,7 +129,7 @@ class NormalForm:
         return sorted(self._terms)
 
     def coefficient(self, name: str) -> TatePolynomial:
-        return self._terms.get(name, TatePolynomial.zero())
+        return self._terms.get(name, ZERO)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -165,7 +155,7 @@ class NormalForm:
         """Remove a direct summand; raises NotASummandError on underflow."""
         out = dict(self._terms)
         for name, poly in part._terms.items():
-            have = out.get(name, TatePolynomial.zero())
+            have = out.get(name, ZERO)
             coeffs = have.coeffs
             for k, a in poly.items():
                 nv = coeffs.get(k, 0) - a
@@ -211,7 +201,7 @@ def normalize(e: MotiveExpr) -> NormalForm:
     stack = [(e, ONE)]  # (node, product of the twists above it); leftmost child on top
     while stack:
         node, twist = stack.pop()
-        if isinstance(node, (Atom, Unknown)):
+        if isinstance(node, Atom):
             coeffs = acc.setdefault(node.name, {})
             for k, a in twist.items():
                 coeffs[k] = coeffs.get(k, 0) + a
@@ -225,16 +215,14 @@ def normalize(e: MotiveExpr) -> NormalForm:
 
 
 def dim_of(e: MotiveExpr, registry: AtomRegistry) -> int:
-    """Top weight of an expression: dim(atom) + k for each L^k twist, max over sums.
-
-    Unknown placeholders are allowed as long as their declared dimension is
-    registered (the solve pipeline needs dimension checks on both sides).
-    """
+    """Top weight of an expression: dim(atom) + k for each L^k twist, max over
+    sums.  Every atom needs a registered dimension, the unknown of a solve
+    included (both sides of the solve pipeline are dimension-checked)."""
     top = 0
     stack = [(e, 0)]  # (node, total degree of the twists above it)
     while stack:
         node, shift = stack.pop()
-        if isinstance(node, (Atom, Unknown)):
+        if isinstance(node, Atom):
             top = max(top, registry.get(node.name).dim + shift)
         elif isinstance(node, Sum):
             stack.extend((c, shift) for c in reversed(node.children))

@@ -41,21 +41,6 @@ class TatePolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("TatePolynomial is immutable")
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "TatePolynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "TatePolynomial":
-        return cls({0: 1})
-
-    @classmethod
-    def lefschetz(cls, k: int = 1) -> "TatePolynomial":
-        """The single monomial L^k."""
-        return cls({k: 1})
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -113,7 +98,7 @@ class TatePolynomial:
         if n < 0:
             raise ValueError("negative power")
         # exponentiation by squaring: O(log n) multiplications
-        out, base = TatePolynomial.one(), self
+        out, base = ONE, self
         while n:
             if n & 1:
                 out = out * base
@@ -176,9 +161,9 @@ class TatePolynomial:
         return f"TatePolynomial({self._coeffs!r})"
 
 
-ZERO = TatePolynomial.zero()
-ONE = TatePolynomial.one()
-L = TatePolynomial.lefschetz()
+ZERO = TatePolynomial()
+ONE = TatePolynomial({0: 1})
+L = TatePolynomial({1: 1})  # the Tate class; L ** k is the monomial L^k
 
 
 def ladder(lo: int, hi: int) -> TatePolynomial:

@@ -5,6 +5,7 @@ tolerances anywhere.
 """
 
 import random
+from dataclasses import fields
 
 import hypothesis.strategies as st
 import pytest
@@ -12,9 +13,10 @@ from hypothesis import given, settings
 
 from motivecalc import (
     Atom,
+    DimensionMismatchError,
     NormalForm,
     NotDivisibleError,
-    TatePolynomial,
+    ONE,
     blow_up,
     check_symmetries,
     codim_rank_leq,
@@ -32,6 +34,7 @@ from motivecalc import (
 from motivecalc.dsl import Parser
 from motivecalc.gm import (
     GMScenario,
+    ScenarioError,
     build_d1_prime,
     build_d2,
     build_lhs,
@@ -81,7 +84,7 @@ def test_criterion_2_lhs_and_identity():
 def test_criterion_3_solve_and_diamond():
     s = GMScenario()
     solved = solve_mx(s).normal_form
-    assert solved == NormalForm({"B": TatePolynomial.one(), "Y": P("L^2")})
+    assert solved == NormalForm({"B": ONE, "Y": P("L^2")})
     d = realize_hodge(solved, realization_table(s))
     expected = {(p, p): 1 for p in range(7)}
     expected[(3, 3)] = 22
@@ -226,23 +229,39 @@ class TestCriterion8PropertySuites:
         ok(8, "property suites")
 
 
+# the gate that rejects each declared fact when it is moved by one either way
+REJECTING_GATE = {
+    "rank_e": ScenarioError,
+    "rank_f": ScenarioError,
+    "pv5_dim": ScenarioError,
+    "d2_fiber": ScenarioError,
+    "codim_d2": ScenarioError,
+    "codim_d1": ScenarioError,
+    "psy_fiber": DimensionMismatchError,
+    "pbr_fiber": DimensionMismatchError,
+    "rho_fiber": DimensionMismatchError,
+    "px_fiber": DimensionMismatchError,
+    "ux_fiber": DimensionMismatchError,
+    "lhs_center_fiber": DimensionMismatchError,
+    "codim_psy": DimensionMismatchError,
+    "codim_rho_d2": DimensionMismatchError,
+    "codim_lhs_center": DimensionMismatchError,
+}
+
+
 def test_criterion_9_negative_controls():
-    for changes in [
-        {"pv5_dim": 3},
-        {"psy_fiber": 2},
-        {"pbr_fiber": 1},
-        {"d2_fiber": 2},
-        {"rho_fiber": 2},
-        {"px_fiber": 2},
-        {"ux_fiber": 2},
-        {"lhs_center_fiber": 1},
-        {"codim_psy": 4},
-        {"codim_rho_d2": 2},
-        {"codim_d2": 5},
-        {"codim_d1": 3},
-        {"codim_lhs_center": 3},
-    ]:
-        assert not verify_identity(perturbed(GMScenario(), **changes)).ok, changes
+    s = GMScenario()
+    facts = {f.name for f in fields(GMScenario) if f.init and f.name != "strict"}
+    assert facts == set(REJECTING_GATE)
+    for name, gate in REJECTING_GATE.items():
+        for step in (-1, 1):
+            changes = {name: getattr(s, name) + step}
+            d = verify_identity(perturbed(s, **changes))
+            assert not d.ok and type(d.error) is gate, changes
+    # no single fact reaches the normal-form comparison; two together do
+    d = verify_identity(perturbed(s, px_fiber=2, ux_fiber=2))
+    assert not d.ok and d.error is None
+    assert "differ" in d.message
     with pytest.raises(NotDivisibleError):
         solve_tensor_factor(
             "X", ladder(0, 1), NormalForm(), NormalForm({"A": P("1 + L^2")})

@@ -196,6 +196,44 @@ def test_deep_nesting_exit_2(capsys):
     assert err == "error: expression nested deeper than 200 levels (line 1, column 201)\n"
 
 
+def test_end_of_input_column_is_relative_to_its_line(capsys):
+    code, _, err = run(capsys, "dim", "K3 +\n")
+    assert code == 2
+    assert err == "error: expected expression, got 'end of input' (line 2, column 1)\n"
+
+
+def test_huge_atlas_dimension_is_checked_at_once(tmp_path):
+    # the symmetry check visits stored entries only, not the (n+1)^2 grid
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps([{"name": "S", "dim": 100000, "h": []}]))
+    src = str(Path(motivecalc.__file__).resolve().parents[1])
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from motivecalc.cli import main; sys.exit(main(sys.argv[2:]))"
+    )
+    argv = [sys.executable, "-c", script, src, "dim", "--atlas", str(path), "P(1)"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [
+        motivecalc.DslError,
+        motivecalc.UnregisteredAtomError,
+        motivecalc.MissingRealizationError,
+        motivecalc.DimensionMismatchError,
+        motivecalc.NonCellularFactorError,
+        motivecalc.InvalidRankError,
+        motivecalc.OddCohomologyError,
+        motivecalc.ScenarioError,
+    ],
+)
+def test_input_errors_are_value_or_key_errors(cls):
+    # the CLI maps exactly ValueError, KeyError and OSError to exit 2
+    assert issubclass(cls, (ValueError, KeyError))
+
+
 def test_runtime_is_pure_stdlib():
     # diff against the modules loaded at start-up, which site hooks may extend
     script = (

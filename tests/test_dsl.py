@@ -129,8 +129,8 @@ def naive_tokens(text):
         (m.lastgroup, m.group(), *naive_position(text, m.start()))
         for m in re.finditer(token, text)
     ]
-    # END keeps the last line and, as before, the offset past the text as column
-    return out + [("END", "", text.count("\n") + 1, len(text) + 1)]
+    # END sits just past the text
+    return out + [("END", "", *naive_position(text, len(text)))]
 
 
 MULTILINE_PROGRAMS = [
@@ -211,3 +211,13 @@ class TestPrintRoundTrip:
         e1 = parser.parse("Q(6) + K3 * L^2")
         e2 = parser.parse("Q(6) + K3 * L^2")
         assert print_expr(e1) == print_expr(e2)
+
+    def test_long_flat_twist_chain_prints_back_identically(self, parser):
+        text = "K3" + " * L" * 3000
+        assert print_expr(parser.parse(text)) == text
+
+    def test_deep_tree_built_in_code(self):
+        e = Atom("K3")
+        for _ in range(5000):
+            e = TensorTwist(e, ladder(0, 1))
+        assert print_expr(e) == "K3" + " * (1 + L)" * 5000

@@ -8,14 +8,13 @@ from motivecalc import (
     InvalidRankError,
     NonCellularFactorError,
     NormalForm,
-    TatePolynomial,
+    ONE,
     blow_up,
     codim_rank_leq,
     dim_of,
     kunneth,
     ladder,
     normalize,
-    p_fibration,
     projective_bundle,
     realize_hodge,
 )
@@ -48,7 +47,7 @@ class TestProjectiveBundle:
 
     def test_rank_one_is_identity(self):
         e = projective_bundle(Atom("K3"), 1)
-        assert normalize(e) == NormalForm({"K3": TatePolynomial.one()})
+        assert normalize(e) == NormalForm({"K3": ONE})
 
     def test_rank_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -59,7 +58,7 @@ class TestBlowUp:
     def test_surface_point_blowup(self, atlas):
         e = blow_up(Atom("P2"), Atom("P0"), 2, atlas.registry)
         nf = normalize(e)
-        assert nf == NormalForm({"P2": TatePolynomial.one(), "P0": P("L")})
+        assert nf == NormalForm({"P2": ONE, "P0": P("L")})
         d = realize_hodge(nf, atlas.diamond_table())
         assert d.euler() == 4
 
@@ -80,7 +79,7 @@ class TestBlowUp:
 
     def test_unchecked_mode(self):
         e = blow_up(Atom("A"), Atom("Z"), 4, None)
-        assert normalize(e) == NormalForm({"A": TatePolynomial.one(), "Z": ladder(1, 3)})
+        assert normalize(e) == NormalForm({"A": ONE, "Z": ladder(1, 3)})
 
     def test_dimension_preserved(self, atlas):
         ambient = kunneth(Atom("Q6"), Atom("P4"), atlas)
@@ -96,7 +95,7 @@ class TestKunneth:
 
     def test_point_factor_is_identity(self, atlas):
         e = kunneth(Atom("K3"), Atom("P0"), atlas)
-        assert normalize(e) == NormalForm({"K3": TatePolynomial.one()})
+        assert normalize(e) == NormalForm({"K3": ONE})
 
     def test_cellular_factor_on_either_side(self, atlas):
         left = kunneth(Atom("P4"), Atom("K3"), atlas)
@@ -109,23 +108,20 @@ class TestKunneth:
 
 
 class TestFibration:
+    """A P^k-fibration decomposes as a projective bundle of rank k + 1."""
+
     def test_p1_fibration(self):
-        e = p_fibration(Atom("Hilb"), 1)
+        e = projective_bundle(Atom("Hilb"), 1 + 1)
         assert normalize(e) == NormalForm({"Hilb": ladder(0, 1)})
 
     def test_p2_fibration_of_composite(self):
-        d2 = p_fibration(Atom("Hilb"), 1)
-        e = p_fibration(d2, 2)
+        d2 = projective_bundle(Atom("Hilb"), 1 + 1)
+        e = projective_bundle(d2, 2 + 1)
         assert normalize(e) == NormalForm({"Hilb": ladder(0, 1) * ladder(0, 2)})
 
     def test_zero_fiber_is_identity(self):
         x = Atom("X")
-        assert p_fibration(x, 0) is x
-
-    def test_matches_projective_bundle(self):
-        assert normalize(p_fibration(Atom("A"), 3)) == normalize(
-            projective_bundle(Atom("A"), 4)
-        )
+        assert projective_bundle(x, 0 + 1) is x
 
 
 class TestCodim:

@@ -8,7 +8,6 @@ from motivecalc import (
     MissingRealizationError,
     NormalForm,
     SymbolicRank,
-    TatePolynomial,
     check_symmetries,
     k3,
     ladder,
@@ -20,9 +19,9 @@ from motivecalc import (
 )
 from motivecalc.dsl import Parser
 from motivecalc.hodge import FREE, UNKNOWN
+from motivecalc.tatepoly import ONE, L
 
 P = Parser().parse_polynomial
-ONE = TatePolynomial.one()
 
 K3 = k3().diamond
 Q6 = quadric(6).diamond
@@ -72,7 +71,7 @@ class TestRealizeHodge:
 
 def twisted(d: HodgeDiamond, k: int) -> HodgeDiamond:
     """Realization of a single atom tensored by L^k."""
-    return realize_hodge(NormalForm({"S": TatePolynomial.lefschetz(k)}), {"S": d})
+    return realize_hodge(NormalForm({"S": L**k}), {"S": d})
 
 
 class TestTwistDiamond:
@@ -97,6 +96,36 @@ class TestTwistDiamond:
         assert d.entries() == [(p + 2, q + 2, v) for p, q, v in K3.entries()]
 
 
+def full_grid_symmetric(d: HodgeDiamond) -> bool:
+    """Reference check over every cell of the (n+1) x (n+1) grid."""
+    n = d.n
+    for p in range(n + 1):
+        for q in range(n + 1):
+            v = d.hodge(p, q)
+            if v != d.hodge(q, p) or v != d.hodge(n - p, n - q):
+                return False
+    return True
+
+
+@st.composite
+def diamonds(draw):
+    """Random diamonds; about half are closed under both symmetries and then
+    possibly bumped in one cell, so both outcomes of the check occur."""
+    n = draw(st.integers(0, 5))
+    cell = st.tuples(st.integers(0, n), st.integers(0, n))
+    h = draw(st.dictionaries(cell, st.integers(0, 3), max_size=8))
+    if draw(st.booleans()):
+        closed: dict = {}
+        for (p, q), v in h.items():
+            for c in [(p, q), (q, p), (n - p, n - q), (n - q, n - p)]:
+                closed[c] = max(closed.get(c, 0), v)
+        h = closed
+        if draw(st.booleans()):
+            c = draw(cell)
+            h[c] = h.get(c, 0) + 1
+    return HodgeDiamond(n, h)
+
+
 class TestCheckSymmetries:
     def test_gm_diamond(self):
         assert check_symmetries(gm_diamond())
@@ -107,6 +136,11 @@ class TestCheckSymmetries:
     def test_broken_conjugation(self):
         d = HodgeDiamond(1, {(0, 0): 1, (1, 0): 1, (1, 1): 1})
         assert not check_symmetries(d)
+
+    @settings(max_examples=500)
+    @given(diamonds())
+    def test_matches_full_grid(self, d):
+        assert check_symmetries(d) == full_grid_symmetric(d)
 
 
 class TestLefschetzProfile:

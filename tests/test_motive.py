@@ -11,7 +11,6 @@ from motivecalc import (
     Sum,
     TatePolynomial,
     TensorTwist,
-    Unknown,
     UnregisteredAtomError,
     dim_of,
     ladder,
@@ -19,7 +18,7 @@ from motivecalc import (
     solve_tensor_factor,
 )
 from motivecalc.dsl import Parser
-from motivecalc.tatepoly import ONE, L
+from motivecalc.tatepoly import ONE, ZERO, L
 
 from conftest import motive_exprs, nonzero_tate_polys, tate_polys
 
@@ -60,7 +59,7 @@ class TestNormalize:
         assert normalize(full_rhs_tree()) == RHS_NF
 
     def test_unknown_with_tensor_factor(self):
-        e = Unknown("X") * M1 + (Atom("Hilb") * ladder(0, 1)) * (
+        e = Atom("X") * M1 + (Atom("Hilb") * ladder(0, 1)) * (
             ladder(0, 2) * ladder(1, 3)
         )
         assert normalize(e) == NormalForm({"X": M1, "Hilb": M2_TWIST})
@@ -69,7 +68,7 @@ class TestNormalize:
         with pytest.raises(ValueError):
             Sum(())
         with pytest.raises(ValueError):
-            TensorTwist(Atom("B"), TatePolynomial.zero())
+            TensorTwist(Atom("B"), ZERO)
 
 
 class TestEqual:
@@ -78,7 +77,7 @@ class TestEqual:
         assert normalize(A * ladder(0, 1)) == normalize(A + A * L)
 
     def test_two_sided_identity(self):
-        lhs = Unknown("X") * M1 + Atom("Hilb") * M2_TWIST
+        lhs = Atom("X") * M1 + Atom("Hilb") * M2_TWIST
         rhs = full_rhs_tree()
         replaced = normalize(lhs).substitute(
             "X", NormalForm({"B": ONE, "Y": P("L^2")})
@@ -127,7 +126,7 @@ class TestSolveTensorFactor:
 
     def test_zero_factor_is_bad_input(self):
         with pytest.raises(ValueError, match="tensor factor must be nonzero"):
-            solve_tensor_factor("X", TatePolynomial.zero(), NormalForm(), NormalForm())
+            solve_tensor_factor("X", ZERO, NormalForm(), NormalForm())
 
     @settings(max_examples=300)
     @given(tate_polys(max_exp=4), nonzero_tate_polys(max_exp=4))
