@@ -141,8 +141,8 @@ class Atlas:
     """Append-only cache of atlas entries sharing one atom registry; it builds
     each builtin (constructor and arguments) once per instance."""
 
-    def __init__(self, registry: AtomRegistry | None = None):
-        self.registry = registry if registry is not None else AtomRegistry()
+    def __init__(self):
+        self.registry = AtomRegistry()
         self._entries: dict[str, AtlasEntry] = {}
         self._built: dict[tuple, AtlasEntry] = {}
 

@@ -198,8 +198,6 @@ class Parser:
         if name == "P":
             n = self._nat("a dimension")
             self._expect(")")
-            if n < 0:
-                err("dimension must be >= 0")
             return Atom(self.atlas.projective_space(n).atom.name)
         if name == "Q":
             n = self._nat("a dimension")

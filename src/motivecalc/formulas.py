@@ -37,25 +37,19 @@ def projective_bundle(base: MotiveExpr, r: int) -> MotiveExpr:
 
 
 def blow_up(
-    ambient: MotiveExpr,
-    center: MotiveExpr,
-    codim: int,
-    registry: AtomRegistry | None,
+    ambient: MotiveExpr, center: MotiveExpr, codim: int, registry: AtomRegistry
 ) -> MotiveExpr:
     """Smooth blow-up: ambient plus center tensored by L + ... + L^(codim-1).
 
-    With a registry the declared codimension is validated against the
-    dimension bookkeeping; pass None only to probe inconsistent scenarios.
+    The declared codimension is validated against the dimensions of the
+    registry's atoms.
     """
     if codim < 2:
         raise ValueError("blow-up codimension must be >= 2")
-    if registry is not None:
-        da = dim_of(ambient, registry)
-        dc = dim_of(center, registry)
-        if dc + codim != da:
-            raise DimensionMismatchError(
-                f"center dim {dc} + codim {codim} != ambient dim {da}"
-            )
+    da = dim_of(ambient, registry)
+    dc = dim_of(center, registry)
+    if dc + codim != da:
+        raise DimensionMismatchError(f"center dim {dc} + codim {codim} != ambient dim {da}")
     return ambient + TensorTwist(center, ladder(1, codim - 1))
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 from .tatepoly import ONE, L
 from .motive import (
     Atom,
-    AtomRegistry,
     MotiveAtom,
     NormalForm,
     Solved,
@@ -44,8 +43,6 @@ class GMScenario:
 
     Every field is an input the comparison depends on; perturbing any one of
     them is expected to break the identity (negative controls rely on this).
-    With strict=False, dimension and codimension validation is skipped so
-    that inconsistent perturbations still produce comparable normal forms.
     """
 
     # ranks of the degeneracy map between bundles
@@ -66,20 +63,16 @@ class GMScenario:
     codim_d2: int = 6
     codim_d1: int = 2
     codim_lhs_center: int = 4
-    strict: bool = True
 
-    registry: AtomRegistry = field(init=False, repr=False)
     atlas: Atlas = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.registry = AtomRegistry()
-        self.atlas = Atlas(self.registry)
-        self.registry.register(MotiveAtom("B", 6, frozenset({"smooth_projective"})))
-        self.registry.register(MotiveAtom("Y", 2, frozenset({"smooth_projective"})))
-        self.registry.register(
-            MotiveAtom("Hilb2QY", 3, frozenset({"smooth_projective"}))
-        )
-        self.registry.register(MotiveAtom("X", 6, frozenset({"unknown"})))
+        self.atlas = Atlas()
+        registry = self.atlas.registry
+        registry.register(MotiveAtom("B", 6, frozenset({"smooth_projective"})))
+        registry.register(MotiveAtom("Y", 2, frozenset({"smooth_projective"})))
+        registry.register(MotiveAtom("Hilb2QY", 3, frozenset({"smooth_projective"})))
+        registry.register(MotiveAtom("X", 6, frozenset({"unknown"})))
         self.atlas.projective_space(self.pv5_dim)
 
     @property
@@ -117,10 +110,6 @@ class GMScenario:
         return checks
 
 
-def _reg(s: GMScenario) -> AtomRegistry | None:
-    return s.registry if s.strict else None
-
-
 def build_d2(s: GMScenario):
     """The corank-2 degeneracy locus as a fibration over the Hilbert-square divisor."""
     return projective_bundle(Atom("Hilb2QY"), s.d2_fiber + 1)
@@ -130,17 +119,17 @@ def build_d1_prime(s: GMScenario):
     """The resolved corank-1 locus as an iterated blow-up."""
     psy = projective_bundle(Atom("Y"), s.psy_fiber + 1)
     pbr = projective_bundle(Atom("B"), s.pbr_fiber + 1)
-    inner = blow_up(pbr, psy, s.codim_psy, _reg(s))
+    inner = blow_up(pbr, psy, s.codim_psy, s.atlas.registry)
     center = projective_bundle(build_d2(s), s.rho_fiber + 1)
-    return blow_up(inner, center, s.codim_rho_d2, _reg(s))
+    return blow_up(inner, center, s.codim_rho_d2, s.atlas.registry)
 
 
 def build_rhs(s: GMScenario):
     """Double blow-up of the product side, grouped by the B, Y and
     Hilbert-square atoms."""
     bp = kunneth(Atom("B"), Atom(f"P{s.pv5_dim}"), s.atlas)
-    stage1 = blow_up(bp, build_d2(s), s.codim_d2, _reg(s))
-    return blow_up(stage1, build_d1_prime(s), s.codim_d1, _reg(s))
+    stage1 = blow_up(bp, build_d2(s), s.codim_d2, s.atlas.registry)
+    return blow_up(stage1, build_d1_prime(s), s.codim_d1, s.atlas.registry)
 
 
 def build_lhs(s: GMScenario):
@@ -148,20 +137,20 @@ def build_lhs(s: GMScenario):
     projective fibration over the corank-2 locus."""
     top = projective_bundle(projective_bundle(Atom("X"), s.px_fiber + 1), s.ux_fiber + 1)
     center = projective_bundle(build_d2(s), s.lhs_center_fiber + 1)
-    return blow_up(top, center, s.codim_lhs_center, _reg(s))
+    return blow_up(top, center, s.codim_lhs_center, s.atlas.registry)
 
 
-def expected_mx(s: GMScenario) -> NormalForm:
+def expected_mx() -> NormalForm:
     """The candidate answer substituted during verification: B + Y * L^2."""
     return NormalForm({"B": ONE, "Y": L**2})
 
 
 @dataclass(frozen=True)
 class Derivation:
-    """A scenario's one derivation pass: its facts validated (when strict),
-    both sides built and normalized once, and compared after substituting
-    X -> B + Y*L^2.  Solving, realization and the torsion certificate all
-    read the normal forms stored here.
+    """A scenario's one derivation pass: its facts validated, both sides
+    built and normalized once, and compared after substituting X -> B + Y*L^2.
+    Solving, realization and the torsion certificate all read the normal
+    forms stored here.
 
     A construction or validation failure is kept in ``error`` rather than
     raised, so perturbed scenarios can be probed; lhs and rhs are then None.
@@ -210,18 +199,17 @@ class Derivation:
 
 
 def verify_identity(s: GMScenario) -> Derivation:
-    """Derive the scenario once: validate (when strict), build and normalize
-    both sides, and compare them after substituting X -> B + Y*L^2.
+    """Derive the scenario once: validate, build and normalize both sides,
+    and compare them after substituting X -> B + Y*L^2.
 
     Construction or validation failures are reported as a failed
     verification, not raised, so perturbed scenarios can be probed."""
     try:
-        if s.strict:
-            s.validate()
+        s.validate()
         lhs, rhs = (normalize(build_side(s)) for build_side in (build_lhs, build_rhs))
     except ValueError as exc:  # ScenarioError, DimensionMismatchError, bad ranks
         return Derivation(s, False, f"construction failed: {exc}", error=exc)
-    substituted = lhs.substitute("X", expected_mx(s))
+    substituted = lhs.substitute("X", expected_mx())
     if substituted == rhs:
         return Derivation(s, True, "identity holds", lhs, rhs, substituted)
     diffs = []

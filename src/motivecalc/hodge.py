@@ -1,7 +1,7 @@
 """Realizations: Hodge diamonds, cohomology profiles, and torsion bookkeeping.
 
 A HodgeDiamond is the exact table h^{p,q}; a CohomologyProfile tracks
-per-degree ranks (possibly symbolic) together with a two-state torsion flag.
+per-degree ranks (possibly symbolic) together with one torsion-freeness flag.
 Torsion is only ever "free" or "unknown": the propagation rules (direct sums,
 Tate twists, summands, Lefschetz + universal coefficients) never need more.
 """
@@ -15,6 +15,10 @@ from .motive import NormalForm
 
 FREE = "free"
 UNKNOWN = "unknown"
+
+# largest top weight realize_hodge accepts: the Betti vector and the printed
+# diamond grow with the top weight, not with the stored entries
+MAX_DIM = 1000
 
 
 class MissingRealizationError(KeyError):
@@ -31,15 +35,6 @@ class SymbolicRank:
     section argument never pins down)."""
 
     name: str
-    offset: int = 0
-
-    def __add__(self, other: int) -> "SymbolicRank":
-        return SymbolicRank(self.name, self.offset + other)
-
-    __radd__ = __add__
-
-    def __str__(self) -> str:
-        return f"{self.name} + {self.offset}" if self.offset else self.name
 
 
 class HodgeDiamond:
@@ -123,7 +118,7 @@ def realize_hodge(
 ) -> HodgeDiamond:
     """Hodge realization of a normal form: additive over atoms, with L^k
     shifting both indices by k.  Ambient dimension is the top weight
-    max(dim(atom) + deg(coefficient))."""
+    max(dim(atom) + deg(coefficient)), at most MAX_DIM."""
     if nf.is_zero():
         return HodgeDiamond(0, {})
     dims = []
@@ -132,6 +127,8 @@ def realize_hodge(
             raise MissingRealizationError(f"no Hodge realization for atom {name!r}")
         dims.append(table[name].n + nf.coefficient(name).degree)
     n = max(dims)
+    if n > MAX_DIM:
+        raise ValueError(f"top weight {n} exceeds the Hodge realization cap {MAX_DIM}")
     h: dict[tuple[int, int], int] = {}
     for name in nf.atoms():
         d = table[name]
@@ -144,37 +141,25 @@ def realize_hodge(
 
 @dataclass(frozen=True)
 class CohomologyProfile:
-    """Per-degree integral cohomology bookkeeping for a dim-n variety:
-    rank (int or SymbolicRank) and torsion flag for each degree 0..2n."""
+    """Integral cohomology bookkeeping for a dim-n variety: the rank (int or
+    SymbolicRank) in each degree 0..2n, and whether the integral cohomology
+    is torsion-free (False means unknown)."""
 
     n: int
     ranks: tuple
-    torsion: tuple[str, ...]
+    torsion_free: bool
 
     def __post_init__(self):
-        if len(self.ranks) != 2 * self.n + 1 or len(self.torsion) != 2 * self.n + 1:
+        if len(self.ranks) != 2 * self.n + 1:
             raise ValueError("profile must cover degrees 0..2n")
-        for t in self.torsion:
-            if t not in (FREE, UNKNOWN):
-                raise ValueError(f"bad torsion flag {t!r}")
 
     @classmethod
     def from_diamond(cls, d: HodgeDiamond, torsion_free: bool) -> "CohomologyProfile":
-        flag = FREE if torsion_free else UNKNOWN
-        b = d.betti()
-        return cls(d.n, b, tuple(flag for _ in b))
-
-    def all_free(self) -> bool:
-        return all(t == FREE for t in self.torsion)
-
-    def __str__(self) -> str:
-        cells = [f"b{k}={r}" for k, r in enumerate(self.ranks)]
-        status = "free" if self.all_free() else "unknown"
-        return f"[{', '.join(cells)}; torsion {status}]"
+        return cls(d.n, d.betti(), torsion_free)
 
 
 def lefschetz_section_profile(
-    ambient: HodgeDiamond, ambient_torsion_free: bool, middle_name: str = "m"
+    ambient: HodgeDiamond, ambient_torsion_free: bool
 ) -> CohomologyProfile:
     """Cohomology profile of a smooth ample divisor in ``ambient``.
 
@@ -191,21 +176,20 @@ def lefschetz_section_profile(
         if k < s:
             ranks.append(amb[k])
         elif k == s:
-            ranks.append(SymbolicRank(middle_name))
+            ranks.append(SymbolicRank("m"))
         else:
             ranks.append(amb[2 * s - k])
-    flag = FREE if ambient_torsion_free else UNKNOWN
-    return CohomologyProfile(s, tuple(ranks), tuple(flag for _ in ranks))
+    return CohomologyProfile(s, tuple(ranks), ambient_torsion_free)
 
 
 def atom_torsion(nf: NormalForm, table: Mapping[str, CohomologyProfile]) -> dict[str, str]:
     """Torsion flag of each atom occurring in the normal form: FREE iff its
-    profile is free in every degree, else UNKNOWN."""
+    profile is torsion-free, else UNKNOWN."""
     status = {}
     for name in nf.atoms():
         if name not in table:
             raise MissingRealizationError(f"no cohomology profile for atom {name!r}")
-        status[name] = FREE if table[name].all_free() else UNKNOWN
+        status[name] = FREE if table[name].torsion_free else UNKNOWN
     return status
 
 

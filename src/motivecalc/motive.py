@@ -113,13 +113,8 @@ class NormalForm:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[str, TatePolynomial] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        clean = {}
-        for name, poly in items:
-            if poly:
-                clean[name] = clean[name] + poly if name in clean else poly
-        self._terms = clean
+    def __init__(self, terms: Mapping[str, TatePolynomial] = {}):
+        self._terms = {name: poly for name, poly in terms.items() if poly}
 
     @property
     def terms(self) -> dict[str, TatePolynomial]:

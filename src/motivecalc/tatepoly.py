@@ -7,7 +7,7 @@ never negative; cancellation is only available as exact division.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 
 class NotDivisibleError(ArithmeticError):
@@ -24,10 +24,9 @@ class TatePolynomial:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+    def __init__(self, coeffs: Mapping[int, int]):
         clean: dict[int, int] = {}
-        for k, a in items:
+        for k, a in coeffs.items():
             k = int(k)
             a = int(a)
             if k < 0:
@@ -35,7 +34,7 @@ class TatePolynomial:
             if a < 0:
                 raise ValueError(f"negative coefficient {a} at L^{k}")
             if a:
-                clean[k] = clean.get(k, 0) + a
+                clean[k] = a
         object.__setattr__(self, "_coeffs", clean)
 
     def __setattr__(self, name, value):
@@ -161,7 +160,7 @@ class TatePolynomial:
         return f"TatePolynomial({self._coeffs!r})"
 
 
-ZERO = TatePolynomial()
+ZERO = TatePolynomial({})
 ONE = TatePolynomial({0: 1})
 L = TatePolynomial({1: 1})  # the Tate class; L ** k is the monomial L^k
 

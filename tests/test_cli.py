@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -202,18 +203,60 @@ def test_end_of_input_column_is_relative_to_its_line(capsys):
     assert err == "error: expected expression, got 'end of input' (line 2, column 1)\n"
 
 
-def test_huge_atlas_dimension_is_checked_at_once(tmp_path):
-    # the symmetry check visits stored entries only, not the (n+1)^2 grid
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps([{"name": "S", "dim": 100000, "h": []}]))
+def run_fresh(*argv):
+    """Run the CLI in a fresh interpreter under a timeout and a 512 MiB
+    address-space limit, so unbounded work fails fast instead of hanging or
+    exhausting memory."""
     src = str(Path(motivecalc.__file__).resolve().parents[1])
     script = (
         "import sys; sys.path.insert(0, sys.argv[1]); "
         "from motivecalc.cli import main; sys.exit(main(sys.argv[2:]))"
     )
-    argv = [sys.executable, "-c", script, src, "dim", "--atlas", str(path), "P(1)"]
-    proc = subprocess.run(argv, capture_output=True, text=True, timeout=10)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-c", script, src, *argv],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=limit_memory,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+CAP_ERROR = "error: top weight {} exceeds the Hodge realization cap 1000\n"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        pytest.param(("dim", "P(1)"), (0, "1\n", ""), id="dim"),
+        pytest.param(("hodge", "S"), (2, "", CAP_ERROR.format(100000)), id="hodge"),
+        pytest.param(("betti", "S"), (2, "", CAP_ERROR.format(100000)), id="betti"),
+        pytest.param(("euler", "S"), (2, "", CAP_ERROR.format(100000)), id="euler"),
+    ],
+)
+def test_huge_atlas_dimension_is_checked_at_once(tmp_path, argv, expected):
+    # the symmetry check visits stored entries only, not the (n+1)^2 grid,
+    # and realization refuses a top weight above hodge.MAX_DIM up front
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps([{"name": "S", "dim": 100000, "h": []}]))
+    command, expr = argv
+    assert run_fresh(command, "--atlas", str(path), expr) == expected
+
+
+def test_huge_exponent_is_refused_before_realizing():
+    expected = (2, "", CAP_ERROR.format(100000001))
+    assert run_fresh("betti", "P(1) * L^100000000") == expected
+
+
+def test_realization_cap_boundary(capsys):
+    code, out, _ = run(capsys, "betti", "P(0) * L^1000")
+    assert code == 0
+    assert out.split() == ["0"] * 2000 + ["1"]
+    assert run(capsys, "betti", "P(0) * L^1001") == (2, "", CAP_ERROR.format(1001))
 
 
 @pytest.mark.parametrize(

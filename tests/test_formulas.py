@@ -77,10 +77,6 @@ class TestBlowUp:
         with pytest.raises(ValueError):
             blow_up(Atom("P2"), Atom("P1"), 1, atlas.registry)
 
-    def test_unchecked_mode(self):
-        e = blow_up(Atom("A"), Atom("Z"), 4, None)
-        assert normalize(e) == NormalForm({"A": ONE, "Z": ladder(1, 3)})
-
     def test_dimension_preserved(self, atlas):
         ambient = kunneth(Atom("Q6"), Atom("P4"), atlas)
         center = projective_bundle(Atom("K3"), 3)

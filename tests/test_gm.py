@@ -95,15 +95,10 @@ class TestVerifyIdentity:
         bp = kunneth(Atom("B"), Atom("P4"), s.atlas)
         d2 = build_d2(s)
         d1p = build_d1_prime(s)
-        order_a = blow_up(blow_up(bp, d2, s.codim_d2, s.registry), d1p, s.codim_d1, s.registry)
-        order_b = blow_up(blow_up(bp, d1p, s.codim_d1, s.registry), d2, s.codim_d2, s.registry)
+        reg = s.atlas.registry
+        order_a = blow_up(blow_up(bp, d2, s.codim_d2, reg), d1p, s.codim_d1, reg)
+        order_b = blow_up(blow_up(bp, d1p, s.codim_d1, reg), d2, s.codim_d2, reg)
         assert normalize(order_a) == normalize(order_b) == RHS_EXPECTED
-
-    def test_relaxed_perturbation_reports_differing_coefficients(self):
-        s = perturbed(GMScenario(), codim_d2=5, strict=False)
-        report = verify_identity(s)
-        assert not report.ok
-        assert "Hilb2QY" in report.message
 
     def test_consistent_perturbation_differs(self):
         # still dimension-consistent, but the fiber product changes
@@ -139,7 +134,7 @@ def test_negative_controls(changes):
 class TestSolve:
     def test_solved_normal_form(self, scenario):
         solved = solve_mx(scenario)
-        assert solved.normal_form == expected_mx(scenario)
+        assert solved.normal_form == expected_mx()
         assert "cancellation" in solved.note
 
     def test_resubstitution_reproduces_rhs(self, scenario):
@@ -176,23 +171,19 @@ class TestTorsion:
     def test_hilb_profile_shape(self, scenario):
         prof = profile_table(scenario)["Hilb2QY"]
         assert prof.ranks[0] == 1 and prof.ranks[1] == 0 and prof.ranks[2] == 23
-        assert prof.all_free()
+        assert prof.torsion_free
 
     def test_forced_unknown_propagates(self, scenario):
         profiles = profile_table(scenario)
         hilb = profiles["Hilb2QY"]
-        profiles["Hilb2QY"] = CohomologyProfile(
-            hilb.n, hilb.ranks, tuple(UNKNOWN for _ in hilb.torsion)
-        )
+        profiles["Hilb2QY"] = CohomologyProfile(hilb.n, hilb.ranks, False)
         cert = torsion_report(scenario, profiles)
         assert cert.conclusion == UNKNOWN
 
     def test_untrusted_k3_propagates(self, scenario):
         profiles = profile_table(scenario)
         y = profiles["Y"]
-        profiles["Y"] = CohomologyProfile(
-            y.n, y.ranks, tuple(UNKNOWN for _ in y.torsion)
-        )
+        profiles["Y"] = CohomologyProfile(y.n, y.ranks, False)
         assert torsion_report(scenario, profiles).conclusion == UNKNOWN
 
 

@@ -153,7 +153,7 @@ class TestLefschetzProfile:
         assert prof.ranks[:3] == (1, 0, 23)
         assert isinstance(prof.ranks[3], SymbolicRank)
         assert prof.ranks[4:] == (23, 0, 1)
-        assert prof.all_free()
+        assert prof.torsion_free
 
     def test_plane_curve(self):
         prof = lefschetz_section_profile(projective_space(2).diamond, True)
@@ -162,8 +162,7 @@ class TestLefschetzProfile:
 
     def test_unknown_ambient_propagates(self):
         prof = lefschetz_section_profile(projective_space(2).diamond, False)
-        assert not prof.all_free()
-        assert set(prof.torsion) == {UNKNOWN}
+        assert not prof.torsion_free
 
     def test_numeric_duality_and_single_symbol(self):
         prof = lefschetz_section_profile(quadric(6).diamond, True)
@@ -173,6 +172,13 @@ class TestLefschetzProfile:
         for k in range(2 * s + 1):
             if k != s and 2 * s - k != s:
                 assert prof.ranks[k] == prof.ranks[2 * s - k]
+
+
+@pytest.mark.parametrize("ranks", [(1, 0), (1, 0, 1, 0)])
+def test_profile_must_cover_degrees_0_to_2n(ranks):
+    assert CohomologyProfile(1, (1, 0, 1), True).torsion_free
+    with pytest.raises(ValueError, match=r"profile must cover degrees 0\.\.2n"):
+        CohomologyProfile(1, ranks, True)
 
 
 class TestTorsionStatus:
@@ -217,12 +223,6 @@ class TestBettiPolynomial:
         nf = NormalForm({"B": ladder(0, 4)})
         d = realize_hodge(nf, {"B": Q6})
         assert len(d.betti()) - 1 == 2 * 10
-
-
-def test_symbolic_rank_arithmetic():
-    m = SymbolicRank("m")
-    assert str(m + 12) == "m + 12"
-    assert str(m) == "m"
 
 
 def test_pretty_layout_is_triangular():
