@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tatepoly import ONE, L, TatePolynomial, ladder
+from .tatepoly import MAX_DIM, ONE, L, TatePolynomial, ladder
 from .motive import AtomRegistry, MotiveAtom
 from .hodge import HodgeDiamond, check_symmetries
 
@@ -48,16 +48,16 @@ def _cellular(name: str, cells: TatePolynomial, provenance: str) -> AtlasEntry:
 
 
 def projective_space(n: int) -> AtlasEntry:
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not 0 <= n <= MAX_DIM:
+        raise ValueError(f"dimension {n} outside 0..{MAX_DIM}")
     return _cellular(f"P{n}", ladder(0, n), f"projective space of dimension {n}")
 
 
 def quadric(n: int) -> AtlasEntry:
     """Smooth n-dimensional quadric: diagonal ones, with a doubled middle
     entry in even dimension."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= MAX_DIM:
+        raise ValueError(f"dimension {n} outside 1..{MAX_DIM}")
     cells = ladder(0, n)
     if n % 2 == 0:
         cells = cells + L ** (n // 2)
@@ -69,19 +69,21 @@ def gaussian_binomial(n: int, k: int) -> TatePolynomial:
     with q read as the Tate class."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
+    k = min(k, n - k)  # [n, k] = [n, n - k]; each row keeps columns 0..k only
     row = [ONE]
     for m in range(1, n + 1):
         new = [ONE]
-        for j in range(1, m):
+        for j in range(1, min(m, k + 1)):
             new.append(row[j - 1] + row[j].shift(j))
-        new.append(ONE)
+        if m <= k:
+            new.append(ONE)
         row = new
     return row[k]
 
 
 def grassmannian(k: int, n: int) -> AtlasEntry:
-    if not 1 <= k < n:
-        raise ValueError("need 1 <= k < n")
+    if not 1 <= k < n or k * (n - k) > MAX_DIM:
+        raise ValueError(f"need 1 <= k < n and k(n - k) <= {MAX_DIM}")
     return _cellular(
         f"Gr({k},{n})", gaussian_binomial(n, k), f"Grassmannian of {k}-planes in {n}-space"
     )

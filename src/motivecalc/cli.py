@@ -106,13 +106,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def _cmd_expr(args, atlas: Atlas) -> int:
     parser = Parser(atlas)
     expr = parser.parse(_read_expr_arg(args.expr))
-    nf = normalize(expr)
-    if args.command == "normalize":
-        _emit(args, {"command": "normalize", "normal_form": nf.to_dict()}, str(nf))
-        return 0
     if args.command == "dim":
         d = dim_of(expr, atlas.registry)
         _emit(args, {"command": "dim", "dim": d}, str(d))
+        return 0
+    nf = normalize(expr)
+    if args.command == "normalize":
+        _emit(args, {"command": "normalize", "normal_form": nf.to_dict()}, str(nf))
         return 0
     diamond = realize_hodge(nf, atlas.diamond_table())
     if args.command == "hodge":

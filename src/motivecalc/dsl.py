@@ -59,7 +59,35 @@ class Token:
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<NAT>\d+)|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)|(?P<SYM>[+*^(),]))")
 
-BUILTINS = {"P", "Q", "Gr", "Hilb2", "PB", "Bl", "Fib", "Prod"}
+# argument kind of a builtin: EXPR reads an expression, a string reads a
+# natural number and names it in errors
+EXPR = None
+
+
+def _hilb2(atlas: Atlas, inner: MotiveExpr) -> MotiveExpr:
+    if not isinstance(inner, Atom) or atlas.get(inner.name) is None:
+        raise ValueError("argument must name an atlas surface")
+    return Atom(atlas.hilb2(inner.name).atom.name)
+
+
+# name -> (argument kinds, constructor taking the atlas and the arguments);
+# the constructors check the argument values
+BUILTINS = {
+    "P": (("a dimension",), lambda atlas, n: Atom(atlas.projective_space(n).atom.name)),
+    "Q": (("a dimension",), lambda atlas, n: Atom(atlas.quadric(n).atom.name)),
+    "Gr": (
+        ("a subspace dimension", "an ambient dimension"),
+        lambda atlas, k, n: Atom(atlas.grassmannian(k, n).atom.name),
+    ),
+    "Hilb2": ((EXPR,), _hilb2),
+    "PB": ((EXPR, "a bundle rank"), lambda atlas, e, r: projective_bundle(e, r)),
+    "Fib": ((EXPR, "a fiber dimension"), lambda atlas, e, k: projective_bundle(e, k + 1)),
+    "Bl": (
+        (EXPR, EXPR, "a codimension"),
+        lambda atlas, a, c, codim: blow_up(a, c, codim, atlas.registry),
+    ),
+    "Prod": ((EXPR, EXPR), lambda atlas, a, b: kunneth(a, b, atlas)),
+}
 
 # deepest nesting of parentheses and builtin arguments the parser accepts;
 # each level costs up to four Python frames
@@ -189,67 +217,18 @@ class Parser:
         raise UnknownIdentifierError(f"unknown identifier {tok.text!r}", tok.line, tok.col)
 
     def _builtin(self, tok: Token) -> MotiveExpr:
-        name = tok.text
+        kinds, construct = BUILTINS[tok.text]
         self._expect("(")
-
-        def err(msg: str):
-            raise ArityError(f"{name}: {msg}", tok.line, tok.col)
-
-        if name == "P":
-            n = self._nat("a dimension")
-            self._expect(")")
-            return Atom(self.atlas.projective_space(n).atom.name)
-        if name == "Q":
-            n = self._nat("a dimension")
-            self._expect(")")
-            if n < 1:
-                err("dimension must be >= 1")
-            return Atom(self.atlas.quadric(n).atom.name)
-        if name == "Gr":
-            k = self._nat("a subspace dimension")
-            self._expect(",")
-            n = self._nat("an ambient dimension")
-            self._expect(")")
-            if not 1 <= k < n:
-                err("need 1 <= k < n")
-            return Atom(self.atlas.grassmannian(k, n).atom.name)
-        if name == "Hilb2":
-            inner = self._expr()
-            self._expect(")")
-            if not isinstance(inner, Atom) or self.atlas.get(inner.name) is None:
-                err("argument must name an atlas surface")
-            return Atom(self.atlas.hilb2(inner.name).atom.name)
-        if name == "PB":
-            base = self._expr()
-            self._expect(",")
-            r = self._nat("a bundle rank")
-            self._expect(")")
-            if r < 1:
-                err("rank must be >= 1")
-            return projective_bundle(base, r)
-        if name == "Fib":
-            base = self._expr()
-            self._expect(",")
-            k = self._nat("a fiber dimension")
-            self._expect(")")
-            return projective_bundle(base, k + 1)
-        if name == "Bl":
-            ambient = self._expr()
-            self._expect(",")
-            center = self._expr()
-            self._expect(",")
-            c = self._nat("a codimension")
-            self._expect(")")
-            if c < 2:
-                err("codimension must be >= 2")
-            return blow_up(ambient, center, c, self.atlas.registry)
-        if name == "Prod":
-            a = self._expr()
-            self._expect(",")
-            b = self._expr()
-            self._expect(")")
-            return kunneth(a, b, self.atlas)
-        raise AssertionError(name)
+        args = []
+        for i, kind in enumerate(kinds):
+            if i:
+                self._expect(",")
+            args.append(self._expr() if kind is EXPR else self._nat(kind))
+        self._expect(")")
+        try:
+            return construct(self.atlas, *args)
+        except ValueError as exc:
+            raise ArityError(f"{tok.text}: {exc}", tok.line, tok.col) from exc
 
     def _twist(self) -> TatePolynomial:
         tok = self._next()

@@ -10,7 +10,7 @@ against the dimension bookkeeping of the registry, never inferred.
 
 from __future__ import annotations
 
-from .tatepoly import ladder
+from .tatepoly import MAX_DIM, ladder
 from .motive import Atom, AtomRegistry, MotiveExpr, TensorTwist, dim_of
 from .atlas import Atlas
 
@@ -31,8 +31,8 @@ def projective_bundle(base: MotiveExpr, r: int) -> MotiveExpr:
     """Projectivization of a rank-r bundle, or any Zariski-locally-trivial
     P^(r-1)-fibration: base tensored by 1 + L + ... + L^(r-1), and base
     itself when r == 1."""
-    if r < 1:
-        raise ValueError("bundle rank must be >= 1")
+    if not 1 <= r <= MAX_DIM + 1:
+        raise ValueError(f"bundle rank {r} outside 1..{MAX_DIM + 1}")
     return base if r == 1 else TensorTwist(base, ladder(0, r - 1))
 
 
@@ -44,8 +44,8 @@ def blow_up(
     The declared codimension is validated against the dimensions of the
     registry's atoms.
     """
-    if codim < 2:
-        raise ValueError("blow-up codimension must be >= 2")
+    if not 2 <= codim <= MAX_DIM + 1:
+        raise ValueError(f"blow-up codimension {codim} outside 2..{MAX_DIM + 1}")
     da = dim_of(ambient, registry)
     dc = dim_of(center, registry)
     if dc + codim != da:

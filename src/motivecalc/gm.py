@@ -30,6 +30,7 @@ from .hodge import (
     torsion_status,
 )
 from .atlas import Atlas
+from .formulas import DimensionMismatchError, InvalidRankError
 from .formulas import blow_up, codim_rank_leq, kunneth, projective_bundle
 
 
@@ -202,12 +203,13 @@ def verify_identity(s: GMScenario) -> Derivation:
     """Derive the scenario once: validate, build and normalize both sides,
     and compare them after substituting X -> B + Y*L^2.
 
-    Construction or validation failures are reported as a failed
-    verification, not raised, so perturbed scenarios can be probed."""
+    A gate's rejection (a scenario check, a blow-up dimension check or a bad
+    rank) is reported as a failed verification, not raised, so perturbed
+    scenarios can be probed; any other error propagates."""
     try:
         s.validate()
         lhs, rhs = (normalize(build_side(s)) for build_side in (build_lhs, build_rhs))
-    except ValueError as exc:  # ScenarioError, DimensionMismatchError, bad ranks
+    except (ScenarioError, DimensionMismatchError, InvalidRankError) as exc:
         return Derivation(s, False, f"construction failed: {exc}", error=exc)
     substituted = lhs.substitute("X", expected_mx())
     if substituted == rhs:

@@ -11,14 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Mapping
 
+from .tatepoly import MAX_DIM
 from .motive import NormalForm
 
 FREE = "free"
 UNKNOWN = "unknown"
-
-# largest top weight realize_hodge accepts: the Betti vector and the printed
-# diamond grow with the top weight, not with the stored entries
-MAX_DIM = 1000
 
 
 class MissingRealizationError(KeyError):

@@ -9,6 +9,12 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
+# largest dimension or top weight the package builds or realizes: ladders,
+# Betti vectors and printed diamonds grow with it, not with stored terms
+MAX_DIM = 1000
+# term pairs a product may multiply: any two degrees <= MAX_DIM stay within it
+MAX_PAIRS = (MAX_DIM + 1) ** 2
+
 
 class NotDivisibleError(ArithmeticError):
     """No quotient with nonnegative integer coefficients exists."""
@@ -85,6 +91,9 @@ class TatePolynomial:
             return TatePolynomial({k: a * other for k, a in self._coeffs.items()})
         if not isinstance(other, TatePolynomial):
             return NotImplemented
+        pairs = len(self._coeffs) * len(other._coeffs)
+        if pairs > MAX_PAIRS:
+            raise ValueError(f"twist product of {pairs} term pairs exceeds {MAX_PAIRS}")
         out: dict[int, int] = {}
         for k1, a1 in self._coeffs.items():
             for k2, a2 in other._coeffs.items():

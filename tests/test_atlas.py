@@ -132,9 +132,11 @@ class TestGrassmannian:
         assert [e.cells.coefficient(p) for p in range(7)] == [1, 1, 2, 2, 2, 1, 1]
         assert e.diamond.euler() == 10
 
-    def test_gr25_vs_sympy_product_formula(self):
-        got = gaussian_binomial(5, 2)
-        want = q_binomial_sympy(5, 2)
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(17) for k in range(n + 1)])
+    def test_gaussian_binomial_vs_sympy_product_formula(self, n, k):
+        got = gaussian_binomial(n, k)
+        want = q_binomial_sympy(n, k)
+        assert got.degree == len(want) - 1
         assert [got.coefficient(p) for p in range(len(want))] == want
 
     def test_gr24(self):

@@ -2,9 +2,12 @@ import json
 import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import motivecalc
 from motivecalc.cli import main
@@ -257,6 +260,169 @@ def test_realization_cap_boundary(capsys):
     assert code == 0
     assert out.split() == ["0"] * 2000 + ["1"]
     assert run(capsys, "betti", "P(0) * L^1001") == (2, "", CAP_ERROR.format(1001))
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("Q(0)", "Q: dimension 0 outside 1..1000"),
+        ("Gr(3,2)", "Gr: need 1 <= k < n and k(n - k) <= 1000"),
+        ("PB(K3, 0)", "PB: bundle rank 0 outside 1..1001"),
+        ("Bl(P(4), P(2), 1)", "Bl: blow-up codimension 1 outside 2..1001"),
+        ("Bl(P(4), K3, 3)", "Bl: center dim 2 + codim 3 != ambient dim 4"),
+        ("Prod(K3, K3)", "Prod: product needs at least one cellular atlas factor"),
+        ("Hilb2(P(1))", "Hilb2: input must be a surface"),
+        ("Hilb2(K3 + K3)", "Hilb2: argument must name an atlas surface"),
+    ],
+)
+def test_builtin_error_names_builtin_and_position(capsys, expr, message):
+    assert run(capsys, "dim", expr) == (2, "", f"error: {message} (line 1, column 1)\n")
+
+
+def test_atlas_clash_names_builtin_and_position(capsys, tmp_path):
+    path = tmp_path / "p1.json"
+    path.write_text(json.dumps([{"name": "P1", "dim": 1, "h": [[0, 0, 1], [1, 1, 1]]}]))
+    assert run(capsys, "dim", "--atlas", str(path), "K3 + P(1)") == (
+        2,
+        "",
+        "error: P: entry 'P1' already present (line 1, column 6)\n",
+    )
+
+
+@pytest.mark.parametrize("command", ["normalize", "dim"])
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "P(10000000)",
+        "Q(10000000)",
+        "PB(K3, 10000000)",
+        "Fib(K3, 10000000)",
+        "Gr(2,2000)",
+        "Gr(300,600)",
+        "P(1001)",
+        "Gr(1,1002)",
+    ],
+)
+def test_builtin_caps_exit_2(command, expr):
+    code, out, err = run_fresh(command, expr)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {expr.split('(')[0]}: ")
+    assert err.endswith(" (line 1, column 1)\n") and err.count("\n") == 1
+
+
+def test_builtin_cap_boundary():
+    assert run_fresh("betti", "P(1000)") == (0, " ".join(["1", "0"] * 1000 + ["1"]) + "\n", "")
+    code, out, err = run_fresh("hodge", "P(1000)")
+    assert (code, err, len(out.splitlines())) == (0, "", 2001)
+    # q-Pascal keeps only the columns up to min(k, n - k)
+    assert run_fresh("hodge", "Gr(1,1001)") == run_fresh("hodge", "Gr(1000,1001)") == (0, out, "")
+
+
+# 381 characters whose twist product has 2^25 terms
+TWIST_BOMB = "K3" + "".join(f" * (1 + L^{1 << i})" for i in range(25))
+
+
+def test_twist_product_is_capped():
+    code, out, err = run_fresh("normalize", TWIST_BOMB)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: twist product of ") and err.count("\n") == 1
+    # dim reads degrees only and never multiplies the twists
+    assert run_fresh("dim", TWIST_BOMB) == (0, f"{2 + (1 << 25) - 1}\n", "")
+
+
+def fmt(pattern):
+    """Map a tuple of strings into `pattern`."""
+    return lambda parts: pattern.format(*parts)
+
+
+# small naturals, which build something, come up more often than the caps
+NATS = st.sampled_from(
+    ["0", "1", "2", "3", "0", "1", "2", "3", "1000", "1001", "10000000", "1000000000"]
+)
+POLYS = st.lists(
+    st.one_of(
+        NATS, st.just("L"), NATS.map("L^{}".format), st.tuples(NATS, NATS).map(fmt("{}L^{}"))
+    ),
+    min_size=1,
+    max_size=3,
+).map(" + ".join)
+TWISTS = st.one_of(st.just("L"), NATS.map("L^{}".format), POLYS.map("({})".format))
+
+
+def dsl_texts(depth=3):
+    """DSL programs nesting at most `depth` levels of builtins, sums, twists
+    and parentheses."""
+    exprs = st.one_of(
+        st.sampled_from(["K3", "X", "Hilb2QY", "S", "P1"]),
+        st.tuples(st.sampled_from(["P", "Q"]), NATS).map(fmt("{}({})")),
+        st.tuples(NATS, NATS).map(fmt("Gr({},{})")),
+    )
+    for _ in range(depth):
+        e = exprs
+        exprs = st.one_of(
+            e,
+            e.map("Hilb2({})".format),
+            st.tuples(st.sampled_from(["PB", "Fib"]), e, NATS).map(fmt("{}({}, {})")),
+            st.tuples(e, e, NATS).map(fmt("Bl({}, {}, {})")),
+            st.tuples(e, e).map(fmt("Prod({}, {})")),
+            st.tuples(e, e).map(fmt("{} + {}")),
+            st.tuples(e, TWISTS).map(fmt("{} * {}")),
+            e.map("({})".format),
+        )
+    return exprs
+
+
+def splice(parts):
+    """`noise` inserted into `text` at offset `at` (mod its length + 1)."""
+    text, noise, at = parts
+    at %= len(text) + 1
+    return text[:at] + noise + text[at:]
+
+
+TRIPLES = st.lists(st.integers(0, 2), min_size=3, max_size=3)
+# an even surface, a surface with odd cohomology, a curve, a huge atom
+DIAMONDS = [
+    (2, [[0, 0, 1], [1, 1, 1], [2, 2, 1]]),
+    (2, [[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 2], [2, 1, 1], [1, 2, 1], [2, 2, 1]]),
+    (1, [[0, 0, 1], [1, 1, 1]]),
+    (100000, []),
+]
+ATLAS_ENTRIES = st.tuples(
+    st.sampled_from(["S", "S", "K3", "P1"]),
+    st.one_of(
+        st.sampled_from(DIAMONDS),
+        st.tuples(st.integers(0, 2), st.lists(TRIPLES)),
+    ),
+    st.booleans(),
+).map(lambda t: {"name": t[0], "dim": t[1][0], "h": t[1][1], "torsion_free": t[2]})
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.text("SPK31", max_size=3),
+    lambda c: st.lists(c, max_size=3) | st.dictionaries(st.sampled_from(["name", "dim", "h"]), c),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["normalize", "hodge", "betti", "euler", "dim"]),
+    text=st.tuples(
+        dsl_texts(), st.text("PQGrHilb2BFiodK3LSX0123456789+*^(), \n", max_size=10), st.integers(0)
+    ).map(splice),
+    atlas=st.one_of(st.none(), st.lists(ATLAS_ENTRIES, min_size=1, max_size=2), JSON),
+)
+def test_cli_exit_contract_fuzz(command, text, atlas):
+    # exit 0 or 2 for any input, within run_fresh's time and memory limits
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command, text]
+        if atlas is not None:
+            path = Path(tmp, "atlas.json")
+            path.write_text(json.dumps(atlas))
+            argv[1:1] = ["--atlas", str(path)]
+        code, out, err = run_fresh(*argv)
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from motivecalc import (
 from motivecalc.dsl import (
     MAX_DEPTH,
     ArityError,
+    DslError,
     DslSyntaxError,
     Parser,
     UnknownIdentifierError,
@@ -105,8 +106,32 @@ class TestErrors:
             parser.parse("Bl(P(4), P(2), 1)")
 
     def test_blowup_dimension_checked(self, parser):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ArityError) as exc:
             parser.parse("Bl(P(4), K3, 3)")
+        assert (exc.value.line, exc.value.col) == (1, 1)
+        assert isinstance(exc.value.__cause__, DimensionMismatchError)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "Q(0)",
+            "Gr(3,2)",
+            "PB(K3, 0)",
+            "Bl(P(4), P(2), 1)",
+            "Bl(P(4), K3, 3)",
+            "Prod(K3, K3)",
+            "Hilb2(P(1))",
+            "Hilb2(K3 + K3)",
+        ],
+    )
+    @pytest.mark.parametrize("context", ["{}", "K3 +\n  Fib(Prod({}, P(1)), 1)"])
+    def test_builtin_error_names_builtin_and_position(self, parser, bad, context):
+        # an inner builtin's error is raised once, at the inner name
+        text = context.format(bad)
+        with pytest.raises(DslError) as exc:
+            parser.parse(text)
+        assert (exc.value.line, exc.value.col) == naive_position(text, text.index(bad))
+        assert str(exc.value).startswith(bad.split("(")[0] + ": ")
 
     def test_zero_twist_rejected(self, parser):
         with pytest.raises(ArityError):

@@ -107,6 +107,16 @@ class TestVerifyIdentity:
         assert not report.ok
         assert "differ" in report.message
 
+    def test_non_gate_error_propagates(self, monkeypatch):
+        # only the gate types read as a failed verification
+        def broken(s):
+            raise ValueError("not a gate")
+
+        monkeypatch.setattr(gm, "build_rhs", broken)
+        with pytest.raises(ValueError, match="not a gate") as exc:
+            verify_identity(GMScenario())
+        assert type(exc.value) is ValueError
+
 
 PERTURBATIONS = [
     {"pv5_dim": 3},
