@@ -19,12 +19,9 @@ from .motive import (
     solve_tensor_factor,
 )
 from .hodge import (
-    CohomologyProfile,
     HodgeDiamond,
     MissingRealizationError,
-    SymbolicRank,
     check_symmetries,
-    lefschetz_section_profile,
     realize_hodge,
     torsion_status,
 )

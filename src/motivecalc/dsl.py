@@ -20,6 +20,7 @@ unit twist.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .tatepoly import ONE, TatePolynomial
@@ -145,12 +146,17 @@ class Parser:
         return tok
 
     def _nat(self, what: str) -> int:
+        # the one place numerals are converted
         tok = self._next()
         if tok.kind != "NAT":
             raise DslSyntaxError(
                 f"expected {what}, got {tok.text or 'end of input'!r}", tok.line, tok.col
             )
-        return int(tok.text)
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than Python's int-conversion limit
+            n, limit = len(tok.text), sys.get_int_max_str_digits()
+            raise DslSyntaxError(f"numeral has {n} digits, more than {limit}", tok.line, tok.col)
 
     # -- grammar -----------------------------------------------------------
 
@@ -253,7 +259,7 @@ class Parser:
             k = 0
             saw = False
             if tok.kind == "NAT":
-                a = int(self._next().text)
+                a = self._nat("a coefficient")
                 saw = True
                 if self._peek().text == "*":
                     self._next()

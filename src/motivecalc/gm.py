@@ -20,15 +20,7 @@ from .motive import (
     normalize,
     solve_tensor_factor,
 )
-from .hodge import (
-    UNKNOWN,
-    CohomologyProfile,
-    HodgeDiamond,
-    atom_torsion,
-    lefschetz_section_profile,
-    realize_hodge,
-    torsion_status,
-)
+from .hodge import UNKNOWN, HodgeDiamond, atom_torsion, realize_hodge, torsion_status
 from .atlas import Atlas
 from .formulas import DimensionMismatchError, InvalidRankError
 from .formulas import blow_up, codim_rank_leq, kunneth, projective_bundle
@@ -162,7 +154,6 @@ class Derivation:
     message: str
     lhs: NormalForm | None = None
     rhs: NormalForm | None = None
-    substituted: NormalForm | None = None
     error: Exception | None = None
 
     def sides(self) -> tuple[NormalForm, NormalForm]:
@@ -178,18 +169,15 @@ class Derivation:
         m2 = NormalForm({n: p for n, p in lhs.terms.items() if n != "X"})
         return solve_tensor_factor("X", lhs.coefficient("X"), m2, rhs)
 
-    def torsion(
-        self, profiles: dict[str, CohomologyProfile] | None = None
-    ) -> TorsionCertificate:
+    def torsion(self) -> TorsionCertificate:
         """Machine-checkable chain: X is a unit-coefficient summand of a sum
         whose atoms all have torsion-free integral cohomology, hence its own
         integral cohomology is torsion-free."""
         lhs, rhs = self.sides()
-        if profiles is None:
-            profiles = profile_table(self.scenario)
+        flags = torsion_flags(self.scenario)
         unit = lhs.coefficient("X").coefficient(0) >= 1
-        status = atom_torsion(rhs, profiles)
-        conclusion = torsion_status(rhs, profiles) if unit else UNKNOWN
+        status = atom_torsion(rhs, flags)
+        conclusion = torsion_status(rhs, flags) if unit else UNKNOWN
         return TorsionCertificate(unit, status, conclusion)
 
     def answer(self) -> tuple[Solved, HodgeDiamond, TorsionCertificate]:
@@ -213,14 +201,14 @@ def verify_identity(s: GMScenario) -> Derivation:
         return Derivation(s, False, f"construction failed: {exc}", error=exc)
     substituted = lhs.substitute("X", expected_mx())
     if substituted == rhs:
-        return Derivation(s, True, "identity holds", lhs, rhs, substituted)
+        return Derivation(s, True, "identity holds", lhs, rhs)
     diffs = []
     for name in sorted(set(substituted.atoms()) | set(rhs.atoms())):
         a, b = substituted.coefficient(name), rhs.coefficient(name)
         if a != b:
             diffs.append(f"{name}: {a} vs {b}")
     message = "normal forms differ: " + "; ".join(diffs)
-    return Derivation(s, False, message, lhs, rhs, substituted)
+    return Derivation(s, False, message, lhs, rhs)
 
 
 def solve_mx(s: GMScenario) -> Solved:
@@ -234,16 +222,16 @@ def realization_table(s: GMScenario) -> dict[str, HodgeDiamond]:
     return {"B": s.atlas.quadric(6).diamond, "Y": s.atlas.k3().diamond}
 
 
-def profile_table(s: GMScenario) -> dict[str, CohomologyProfile]:
-    """Torsion profiles of the building blocks: the quadric and the K3 are
-    free outright; the Hilbert-square divisor inherits freeness as a smooth
-    ample divisor in the Hilbert square of the K3."""
-    q6, k3_entry = s.atlas.quadric(6), s.atlas.k3()
-    hilb2 = s.atlas.hilb2(k3_entry.atom.name)
+def torsion_flags(s: GMScenario) -> dict[str, bool]:
+    """Torsion-freeness of the building blocks, read off the scenario's
+    atlas: B is the quadric Q6 and Y the K3 surface.  Hilb2QY takes the flag
+    of Hilb2(K3): it is a smooth ample divisor there, so by Lefschetz and
+    universal coefficients its integral cohomology is torsion-free whenever
+    the ambient one is."""
     return {
-        "B": CohomologyProfile.from_diamond(q6.diamond, q6.torsion_free),
-        "Y": CohomologyProfile.from_diamond(k3_entry.diamond, k3_entry.torsion_free),
-        "Hilb2QY": lefschetz_section_profile(hilb2.diamond, hilb2.torsion_free),
+        "B": s.atlas.quadric(6).torsion_free,
+        "Y": s.atlas.k3().torsion_free,
+        "Hilb2QY": s.atlas.hilb2("K3").torsion_free,
     }
 
 
@@ -254,11 +242,9 @@ class TorsionCertificate:
     conclusion: str
 
 
-def torsion_report(
-    s: GMScenario, profiles: dict[str, CohomologyProfile] | None = None
-) -> TorsionCertificate:
+def torsion_report(s: GMScenario) -> TorsionCertificate:
     """The torsion certificate of X; see Derivation.torsion."""
-    return verify_identity(s).torsion(profiles)
+    return verify_identity(s).torsion()
 
 
 def perturbed(s: GMScenario, **changes) -> GMScenario:

@@ -1,14 +1,13 @@
-"""Realizations: Hodge diamonds, cohomology profiles, and torsion bookkeeping.
+"""Realizations: Hodge diamonds and torsion bookkeeping.
 
-A HodgeDiamond is the exact table h^{p,q}; a CohomologyProfile tracks
-per-degree ranks (possibly symbolic) together with one torsion-freeness flag.
-Torsion is only ever "free" or "unknown": the propagation rules (direct sums,
-Tate twists, summands, Lefschetz + universal coefficients) never need more.
+A HodgeDiamond is the exact table h^{p,q}.  Torsion is one flag per atom,
+read off its atlas entry, and is only ever "free" or "unknown": the
+propagation rules (direct sums, Tate twists, summands, Lefschetz + universal
+coefficients) never need more.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Mapping
 
 from .tatepoly import MAX_DIM
@@ -24,14 +23,6 @@ class MissingRealizationError(KeyError):
     def __str__(self) -> str:
         # KeyError would show the repr of its argument
         return str(self.args[0])
-
-
-@dataclass(frozen=True)
-class SymbolicRank:
-    """A named, unevaluated Betti number (e.g. the middle rank a Lefschetz
-    section argument never pins down)."""
-
-    name: str
 
 
 class HodgeDiamond:
@@ -136,62 +127,19 @@ def realize_hodge(
     return HodgeDiamond(n, h)
 
 
-@dataclass(frozen=True)
-class CohomologyProfile:
-    """Integral cohomology bookkeeping for a dim-n variety: the rank (int or
-    SymbolicRank) in each degree 0..2n, and whether the integral cohomology
-    is torsion-free (False means unknown)."""
-
-    n: int
-    ranks: tuple
-    torsion_free: bool
-
-    def __post_init__(self):
-        if len(self.ranks) != 2 * self.n + 1:
-            raise ValueError("profile must cover degrees 0..2n")
-
-    @classmethod
-    def from_diamond(cls, d: HodgeDiamond, torsion_free: bool) -> "CohomologyProfile":
-        return cls(d.n, d.betti(), torsion_free)
-
-
-def lefschetz_section_profile(
-    ambient: HodgeDiamond, ambient_torsion_free: bool
-) -> CohomologyProfile:
-    """Cohomology profile of a smooth ample divisor in ``ambient``.
-
-    Below the middle degree the section inherits the ambient ranks (and
-    torsion-freeness, via universal coefficients); above it everything is
-    filled in by duality; the middle rank itself stays a named symbol.
-    """
-    if ambient.n < 1:
-        raise ValueError("ambient must have dimension >= 1")
-    s = ambient.n - 1  # section dimension
-    amb = ambient.betti()
-    ranks: list = []
-    for k in range(2 * s + 1):
-        if k < s:
-            ranks.append(amb[k])
-        elif k == s:
-            ranks.append(SymbolicRank("m"))
-        else:
-            ranks.append(amb[2 * s - k])
-    return CohomologyProfile(s, tuple(ranks), ambient_torsion_free)
-
-
-def atom_torsion(nf: NormalForm, table: Mapping[str, CohomologyProfile]) -> dict[str, str]:
-    """Torsion flag of each atom occurring in the normal form: FREE iff its
-    profile is torsion-free, else UNKNOWN."""
+def atom_torsion(nf: NormalForm, flags: Mapping[str, bool]) -> dict[str, str]:
+    """Torsion status of each atom occurring in the normal form: FREE iff its
+    flag says torsion-free, else UNKNOWN."""
     status = {}
     for name in nf.atoms():
-        if name not in table:
-            raise MissingRealizationError(f"no cohomology profile for atom {name!r}")
-        status[name] = FREE if table[name].torsion_free else UNKNOWN
+        if name not in flags:
+            raise MissingRealizationError(f"no torsion flag for atom {name!r}")
+        status[name] = FREE if flags[name] else UNKNOWN
     return status
 
 
-def torsion_status(nf: NormalForm, table: Mapping[str, CohomologyProfile]) -> str:
+def torsion_status(nf: NormalForm, flags: Mapping[str, bool]) -> str:
     """FREE iff every atom occurring in the normal form is FREE; a direct sum
     of Tate twists of torsion-free groups is torsion-free, and so is any
     direct summand of one."""
-    return FREE if all(s == FREE for s in atom_torsion(nf, table).values()) else UNKNOWN
+    return FREE if all(s == FREE for s in atom_torsion(nf, flags).values()) else UNKNOWN

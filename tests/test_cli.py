@@ -206,6 +206,24 @@ def test_end_of_input_column_is_relative_to_its_line(capsys):
     assert err == "error: expected expression, got 'end of input' (line 2, column 1)\n"
 
 
+ONES = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, col",
+    [
+        pytest.param(("dim", f"P({ONES})"), 3, id="builtin-argument"),
+        pytest.param(("normalize", f"K3 * ({ONES} L)"), 7, id="twist-coefficient"),
+        pytest.param(("solve", ONES, "P(0)", "P(0)"), 1, id="solve-polynomial"),
+    ],
+)
+def test_overlong_numeral_error_has_position(capsys, argv, col):
+    # past Python's int-conversion limit a numeral is a syntax error at its token
+    limit = sys.get_int_max_str_digits()
+    message = f"error: numeral has 5000 digits, more than {limit} (line 1, column {col})\n"
+    assert run(capsys, *argv) == (2, "", message)
+
+
 def run_fresh(*argv):
     """Run the CLI in a fresh interpreter under a timeout and a 512 MiB
     address-space limit, so unbounded work fails fast instead of hanging or

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,7 @@ from motivecalc import (
     normalize,
     realize_hodge,
 )
+import motivecalc.atlas as atlas
 import motivecalc.gm as gm
 from motivecalc.gm import (
     GMScenario,
@@ -21,14 +23,14 @@ from motivecalc.gm import (
     expected_mx,
     full_report,
     perturbed,
-    profile_table,
     realization_table,
     solve_mx,
+    torsion_flags,
     torsion_report,
     verify_identity,
 )
 from motivecalc.dsl import Parser
-from motivecalc.hodge import FREE, UNKNOWN, CohomologyProfile
+from motivecalc.hodge import FREE, UNKNOWN
 from motivecalc.motive import Atom
 
 P = Parser().parse_polynomial
@@ -179,22 +181,36 @@ class TestTorsion:
         assert cert.atom_status == {"B": FREE, "Y": FREE, "Hilb2QY": FREE}
 
     def test_hilb_profile_shape(self, scenario):
-        prof = profile_table(scenario)["Hilb2QY"]
-        assert prof.ranks[0] == 1 and prof.ranks[1] == 0 and prof.ranks[2] == 23
-        assert prof.torsion_free
+        assert torsion_flags(scenario) == {"B": True, "Y": True, "Hilb2QY": True}
 
-    def test_forced_unknown_propagates(self, scenario):
-        profiles = profile_table(scenario)
-        hilb = profiles["Hilb2QY"]
-        profiles["Hilb2QY"] = CohomologyProfile(hilb.n, hilb.ranks, False)
-        cert = torsion_report(scenario, profiles)
+    def test_forced_unknown_propagates(self, monkeypatch):
+        # only the Hilb2(K3) entry is untrusted: the K3 itself stays free
+        build = atlas.hilb2_surface
+        monkeypatch.setattr(
+            atlas, "hilb2_surface", lambda *args: replace(build(*args), torsion_free=False)
+        )
+        cert = torsion_report(GMScenario())
+        assert cert.atom_status == {"B": FREE, "Y": FREE, "Hilb2QY": UNKNOWN}
         assert cert.conclusion == UNKNOWN
 
-    def test_untrusted_k3_propagates(self, scenario):
-        profiles = profile_table(scenario)
-        y = profiles["Y"]
-        profiles["Y"] = CohomologyProfile(y.n, y.ranks, False)
-        assert torsion_report(scenario, profiles).conclusion == UNKNOWN
+    def test_untrusted_k3_propagates(self, monkeypatch):
+        assert untrusted_atoms(monkeypatch, "k3") == {"Y", "Hilb2QY"}
+
+    def test_untrusted_quadric_propagates(self, monkeypatch):
+        assert untrusted_atoms(monkeypatch, "quadric") == {"B"}
+
+
+def untrusted_atoms(monkeypatch, builtin):
+    """Mark one atlas entry as not torsion-free and return the atoms of the
+    full report whose status became unknown; the conclusion must follow.
+    The flag is read off the atlas entry, and Hilb2(K3) inherits the K3's."""
+    build = getattr(atlas, builtin)
+    monkeypatch.setattr(
+        atlas, builtin, lambda *args: replace(build(*args), torsion_free=False)
+    )
+    torsion = full_report(GMScenario())["torsion"]
+    assert torsion["conclusion"] == UNKNOWN
+    return {a for a, status in torsion["atoms"].items() if status == UNKNOWN}
 
 
 class TestScenarioValidation:

@@ -3,15 +3,12 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from motivecalc import (
-    CohomologyProfile,
     HodgeDiamond,
     MissingRealizationError,
     NormalForm,
-    SymbolicRank,
     check_symmetries,
     k3,
     ladder,
-    lefschetz_section_profile,
     projective_space,
     quadric,
     realize_hodge,
@@ -143,52 +140,9 @@ class TestCheckSymmetries:
         assert check_symmetries(d) == full_grid_symmetric(d)
 
 
-class TestLefschetzProfile:
-    def test_hilbert_square_section(self):
-        from motivecalc import hilb2_surface
-
-        ambient = hilb2_surface(k3()).diamond
-        prof = lefschetz_section_profile(ambient, True)
-        assert prof.n == 3
-        assert prof.ranks[:3] == (1, 0, 23)
-        assert isinstance(prof.ranks[3], SymbolicRank)
-        assert prof.ranks[4:] == (23, 0, 1)
-        assert prof.torsion_free
-
-    def test_plane_curve(self):
-        prof = lefschetz_section_profile(projective_space(2).diamond, True)
-        assert prof.ranks[0] == 1 and prof.ranks[2] == 1
-        assert isinstance(prof.ranks[1], SymbolicRank)
-
-    def test_unknown_ambient_propagates(self):
-        prof = lefschetz_section_profile(projective_space(2).diamond, False)
-        assert not prof.torsion_free
-
-    def test_numeric_duality_and_single_symbol(self):
-        prof = lefschetz_section_profile(quadric(6).diamond, True)
-        s = prof.n
-        symbolic = [k for k, r in enumerate(prof.ranks) if isinstance(r, SymbolicRank)]
-        assert symbolic == [s]
-        for k in range(2 * s + 1):
-            if k != s and 2 * s - k != s:
-                assert prof.ranks[k] == prof.ranks[2 * s - k]
-
-
-@pytest.mark.parametrize("ranks", [(1, 0), (1, 0, 1, 0)])
-def test_profile_must_cover_degrees_0_to_2n(ranks):
-    assert CohomologyProfile(1, (1, 0, 1), True).torsion_free
-    with pytest.raises(ValueError, match=r"profile must cover degrees 0\.\.2n"):
-        CohomologyProfile(1, ranks, True)
-
-
 class TestTorsionStatus:
     def make_table(self, hilb_free=True):
-        from motivecalc import hilb2_surface
-
-        prof_b = CohomologyProfile.from_diamond(Q6, True)
-        prof_y = CohomologyProfile.from_diamond(K3, True)
-        prof_h = lefschetz_section_profile(hilb2_surface(k3()).diamond, hilb_free)
-        return {"B": prof_b, "Y": prof_y, "Hilb": prof_h}
+        return {"B": True, "Y": True, "Hilb": hilb_free}
 
     def test_all_free(self):
         nf = NormalForm({"B": ONE, "Y": P("L^2"), "Hilb": P("L")})
@@ -202,7 +156,7 @@ class TestTorsionStatus:
         assert torsion_status(nf, self.make_table(hilb_free=False)) == UNKNOWN
 
     def test_missing_profile(self):
-        with pytest.raises(MissingRealizationError, match="no cohomology profile for atom 'B'"):
+        with pytest.raises(MissingRealizationError, match="no torsion flag for atom 'B'"):
             torsion_status(NormalForm({"B": ONE}), {})
 
 
