@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tatepoly import MAX_DIM, ONE, L, TatePolynomial, ladder
+from .tatepoly import MAX_DIM, L, TatePolynomial, ladder
 from .motive import AtomRegistry, MotiveAtom
 from .hodge import HodgeDiamond, check_symmetries
 
@@ -70,15 +70,17 @@ def gaussian_binomial(n: int, k: int) -> TatePolynomial:
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     k = min(k, n - k)  # [n, k] = [n, n - k]; each row keeps columns 0..k only
-    row = [ONE]
+    row = [[1]]  # row[j] lists the coefficients of [m, j], for j <= min(m, k)
     for m in range(1, n + 1):
-        new = [ONE]
+        new = [[1]]
         for j in range(1, min(m, k + 1)):
-            new.append(row[j - 1] + row[j].shift(j))
-        if m <= k:
-            new.append(ONE)
-        row = new
-    return row[k]
+            # [m, j] = [m-1, j-1] + L^j [m-1, j]; the shifted term is the longer
+            low, high = row[j - 1], row[j]
+            c = low + [0] * (j + len(high) - len(low))
+            c[j:] = [a + b for a, b in zip(c[j:], high)]
+            new.append(c)
+        row = new + [[1]] if m <= k else new
+    return TatePolynomial(dict(enumerate(row[k])))
 
 
 def grassmannian(k: int, n: int) -> AtlasEntry:

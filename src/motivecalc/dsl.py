@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .tatepoly import ONE, TatePolynomial
 from .motive import Atom, MotiveExpr, Sum, TensorTwist
 from .atlas import Atlas
-from .formulas import blow_up, kunneth, projective_bundle
+from .formulas import blow_up, kunneth, projective_bundle, projective_fibration
 
 
 class DslError(ValueError):
@@ -82,7 +82,7 @@ BUILTINS = {
     ),
     "Hilb2": ((EXPR,), _hilb2),
     "PB": ((EXPR, "a bundle rank"), lambda atlas, e, r: projective_bundle(e, r)),
-    "Fib": ((EXPR, "a fiber dimension"), lambda atlas, e, k: projective_bundle(e, k + 1)),
+    "Fib": ((EXPR, "a fiber dimension"), lambda atlas, e, k: projective_fibration(e, k)),
     "Bl": (
         (EXPR, EXPR, "a codimension"),
         lambda atlas, a, c, codim: blow_up(a, c, codim, atlas.registry),

@@ -28,12 +28,18 @@ class InvalidRankError(ValueError):
 
 
 def projective_bundle(base: MotiveExpr, r: int) -> MotiveExpr:
-    """Projectivization of a rank-r bundle, or any Zariski-locally-trivial
-    P^(r-1)-fibration: base tensored by 1 + L + ... + L^(r-1), and base
-    itself when r == 1."""
+    """Projectivization of a rank-r bundle: a P^(r-1)-fibration."""
     if not 1 <= r <= MAX_DIM + 1:
         raise ValueError(f"bundle rank {r} outside 1..{MAX_DIM + 1}")
-    return base if r == 1 else TensorTwist(base, ladder(0, r - 1))
+    return projective_fibration(base, r - 1)
+
+
+def projective_fibration(base: MotiveExpr, k: int) -> MotiveExpr:
+    """Zariski-locally-trivial P^k-fibration: base tensored by
+    1 + L + ... + L^k, and base itself when k == 0."""
+    if not 0 <= k <= MAX_DIM:
+        raise ValueError(f"fiber dimension {k} outside 0..{MAX_DIM}")
+    return base if k == 0 else TensorTwist(base, ladder(0, k))
 
 
 def blow_up(

@@ -23,7 +23,7 @@ from .motive import (
 from .hodge import UNKNOWN, HodgeDiamond, atom_torsion, realize_hodge, torsion_status
 from .atlas import Atlas
 from .formulas import DimensionMismatchError, InvalidRankError
-from .formulas import blow_up, codim_rank_leq, kunneth, projective_bundle
+from .formulas import blow_up, codim_rank_leq, kunneth, projective_fibration
 
 
 class ScenarioError(ValueError):
@@ -105,15 +105,15 @@ class GMScenario:
 
 def build_d2(s: GMScenario):
     """The corank-2 degeneracy locus as a fibration over the Hilbert-square divisor."""
-    return projective_bundle(Atom("Hilb2QY"), s.d2_fiber + 1)
+    return projective_fibration(Atom("Hilb2QY"), s.d2_fiber)
 
 
 def build_d1_prime(s: GMScenario):
     """The resolved corank-1 locus as an iterated blow-up."""
-    psy = projective_bundle(Atom("Y"), s.psy_fiber + 1)
-    pbr = projective_bundle(Atom("B"), s.pbr_fiber + 1)
+    psy = projective_fibration(Atom("Y"), s.psy_fiber)
+    pbr = projective_fibration(Atom("B"), s.pbr_fiber)
     inner = blow_up(pbr, psy, s.codim_psy, s.atlas.registry)
-    center = projective_bundle(build_d2(s), s.rho_fiber + 1)
+    center = projective_fibration(build_d2(s), s.rho_fiber)
     return blow_up(inner, center, s.codim_rho_d2, s.atlas.registry)
 
 
@@ -128,8 +128,8 @@ def build_rhs(s: GMScenario):
 def build_lhs(s: GMScenario):
     """The same variety fibered over the unknown X, blown up along a
     projective fibration over the corank-2 locus."""
-    top = projective_bundle(projective_bundle(Atom("X"), s.px_fiber + 1), s.ux_fiber + 1)
-    center = projective_bundle(build_d2(s), s.lhs_center_fiber + 1)
+    top = projective_fibration(projective_fibration(Atom("X"), s.px_fiber), s.ux_fiber)
+    center = projective_fibration(build_d2(s), s.lhs_center_fiber)
     return blow_up(top, center, s.codim_lhs_center, s.atlas.registry)
 
 

@@ -77,18 +77,16 @@ class HodgeDiamond:
     def pretty(self) -> str:
         """Triangular text layout, h^{0,0} at the top, row k lists h^{p,q}
         with p+q = k and p decreasing left to right."""
-        rows = []
-        for k in range(2 * self.n + 1):
-            ps = range(min(self.n, k), max(0, k - self.n) - 1, -1)
-            rows.append([str(self.hodge(p, k - p)) for p in ps])
-        width = max(len(s) for row in rows for s in row)
-        cell = width + 2
-        total = cell * (2 * self.n + 1)
-        lines = []
-        for row in rows:
-            text = "".join(s.center(cell) for s in row).center(total).rstrip()
-            lines.append(text)
-        return "\n".join(lines)
+        n = self.n
+        text = {pq: str(v) for pq, v in self._h.items()}
+        cell = max(map(len, text.values()), default=1) + 2
+        zero = "0".center(cell)
+        # row p + q lists p from min(n, p + q) down, so (p, q) sits at min(q, n - p)
+        rows = [[zero] * (n + 1 - abs(k - n)) for k in range(2 * n + 1)]
+        for (p, q), s in text.items():
+            rows[p + q][min(q, n - p)] = s.center(cell)
+        total = cell * (2 * n + 1)
+        return "\n".join("".join(row).center(total).rstrip() for row in rows)
 
 
 def check_symmetries(d: HodgeDiamond) -> bool:

@@ -115,10 +115,6 @@ class TatePolynomial:
                 base = base * base
         return out
 
-    def shift(self, k: int) -> "TatePolynomial":
-        """Multiply by L^k."""
-        return TatePolynomial({e + k: a for e, a in self._coeffs.items()})
-
     def div_exact(self, d: "TatePolynomial") -> "TatePolynomial":
         """Exact quotient q with q * d == self and coefficients in N.
 
@@ -131,24 +127,22 @@ class TatePolynomial:
         quot: dict[int, int] = {}
         d_lo = min(d._coeffs)
         d_lo_c = d._coeffs[d_lo]
-        while rem:
-            r_lo = min(rem)
-            if r_lo < d_lo:
-                raise NotDivisibleError(f"{self} is not divisible by {d}")
-            c, m = divmod(rem[r_lo], d_lo_c)
-            if m:
+        # a write to a degree the dividend lacks goes negative and raises, so
+        # the dividend's own degrees, in increasing order, are every lowest term
+        for r_lo in sorted(rem):
+            r = rem[r_lo]
+            if not r:
+                continue
+            c, m = divmod(r, d_lo_c)
+            if r_lo < d_lo or m:
                 raise NotDivisibleError(f"{self} is not divisible by {d}")
             shift = r_lo - d_lo
             quot[shift] = c
             for k, a in d._coeffs.items():
-                nk = k + shift
-                nv = rem.get(nk, 0) - a * c
+                nv = rem.get(k + shift, 0) - a * c
                 if nv < 0:
                     raise NotDivisibleError(f"{self} is not divisible by {d}")
-                if nv:
-                    rem[nk] = nv
-                else:
-                    rem.pop(nk, None)
+                rem[k + shift] = nv
         return TatePolynomial(quot)
 
     # -- rendering ---------------------------------------------------------

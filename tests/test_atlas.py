@@ -4,6 +4,7 @@ two-point truncation of the Hilbert-scheme Betti generating function."""
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 import sympy
@@ -56,12 +57,18 @@ def count_subspaces_bruteforce(q, n, k):
 
 
 def q_binomial_sympy(n, k):
-    """Coefficients of the Gaussian binomial via the product formula,
-    simplified with sympy."""
+    """Coefficients of the Gaussian binomial via the product formula
+    prod_{i<k} (q^(n-i) - 1) / (q^(i+1) - 1): identical factors cancel, and
+    sympy divides what is left exactly."""
     q = sympy.symbols("q")
-    expr = sympy.prod((q ** (n - i) - 1) / (q ** (i + 1) - 1) for i in range(k))
-    poly = sympy.Poly(sympy.cancel(expr), q)
-    return list(reversed(poly.all_coeffs()))
+    top, bottom = Counter(n - i for i in range(k)), Counter(i + 1 for i in range(k))
+
+    def product(exponents):
+        return sympy.prod((sympy.Poly(q**e - 1, q) for e in exponents), start=sympy.Poly(1, q))
+
+    quo, rem = sympy.div(product((top - bottom).elements()), product((bottom - top).elements()))
+    assert rem.is_zero
+    return list(reversed(quo.all_coeffs()))
 
 
 def hilb2_betti_goettsche(b):
@@ -138,6 +145,14 @@ class TestGrassmannian:
         want = q_binomial_sympy(n, k)
         assert got.degree == len(want) - 1
         assert [got.coefficient(p) for p in range(len(want))] == want
+
+    @pytest.mark.parametrize("n,k", [(48, 24), (63, 31), (1001, 1), (1001, 1000)])
+    def test_gaussian_binomial_beyond_the_sweep(self, n, k):
+        got = gaussian_binomial(n, k)
+        want = q_binomial_sympy(n, k)
+        assert got.degree == len(want) - 1
+        assert [got.coefficient(p) for p in range(len(want))] == want
+        assert got == gaussian_binomial(n, n - k)
 
     def test_gr24(self):
         e = grassmannian(2, 4)

@@ -286,6 +286,7 @@ def test_realization_cap_boundary(capsys):
         ("Q(0)", "Q: dimension 0 outside 1..1000"),
         ("Gr(3,2)", "Gr: need 1 <= k < n and k(n - k) <= 1000"),
         ("PB(K3, 0)", "PB: bundle rank 0 outside 1..1001"),
+        ("Fib(K3, 1001)", "Fib: fiber dimension 1001 outside 0..1000"),
         ("Bl(P(4), P(2), 1)", "Bl: blow-up codimension 1 outside 2..1001"),
         ("Bl(P(4), K3, 3)", "Bl: center dim 2 + codim 3 != ambient dim 4"),
         ("Prod(K3, K3)", "Prod: product needs at least one cellular atlas factor"),

@@ -20,6 +20,7 @@ from motivecalc import (
 )
 
 from motivecalc.dsl import Parser
+from motivecalc.formulas import projective_fibration
 
 from conftest import session_atlas
 
@@ -118,6 +119,16 @@ class TestFibration:
     def test_zero_fiber_is_identity(self):
         x = Atom("X")
         assert projective_bundle(x, 0 + 1) is x
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 1000])
+    def test_fibration_is_bundle_of_rank_k_plus_1(self, k):
+        x = Atom("X")
+        assert normalize(projective_fibration(x, k)) == normalize(projective_bundle(x, k + 1))
+
+    @pytest.mark.parametrize("k", [-1, 1001])
+    def test_fiber_dimension_range(self, k):
+        with pytest.raises(ValueError, match=f"fiber dimension {k} outside 0..1000"):
+            projective_fibration(Atom("X"), k)
 
 
 class TestCodim:

@@ -1,14 +1,16 @@
 import pytest
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from motivecalc import (
+    Atlas,
     HodgeDiamond,
     MissingRealizationError,
     NormalForm,
     check_symmetries,
     k3,
     ladder,
+    normalize,
     projective_space,
     quadric,
     realize_hodge,
@@ -183,6 +185,51 @@ def test_pretty_layout_is_triangular():
     text = projective_space(1).diamond.pretty()
     lines = text.splitlines()
     assert [ln.split() for ln in lines] == [["1"], ["0", "0"], ["1"]]
+
+
+def pretty_reference(d: HodgeDiamond) -> str:
+    """The renderer that looks up, formats and centers every cell of the
+    triangle, zeros included."""
+    rows = []
+    for k in range(2 * d.n + 1):
+        ps = range(min(d.n, k), max(0, k - d.n) - 1, -1)
+        rows.append([str(d.hodge(p, k - p)) for p in ps])
+    width = max(len(s) for row in rows for s in row)
+    cell = width + 2
+    total = cell * (2 * d.n + 1)
+    lines = []
+    for row in rows:
+        text = "".join(s.center(cell) for s in row).center(total).rstrip()
+        lines.append(text)
+    return "\n".join(lines)
+
+
+@st.composite
+def symmetric_sparse_diamonds(draw):
+    """Diamonds closed under both symmetries, with a few nonzero orbits of
+    values of one to seven digits."""
+    n = draw(st.integers(0, 12))
+    cell = st.tuples(st.integers(0, n), st.integers(0, n))
+    h = {}
+    for (p, q), v in draw(st.dictionaries(cell, st.integers(1, 10**6), max_size=10)).items():
+        for c in [(p, q), (q, p), (n - p, n - q), (n - q, n - p)]:
+            h[c] = v
+    return HodgeDiamond(n, h)
+
+
+@settings(max_examples=300)
+@given(symmetric_sparse_diamonds())
+@example(HodgeDiamond(0, {}))
+def test_pretty_matches_reference(d):
+    assert d.pretty() == pretty_reference(d)
+
+
+def test_pretty_matches_reference_at_dimension_579():
+    atlas = Atlas()
+    expr = Parser(atlas).parse("Gr(24,48) * (1 + L^3) + Hilb2(K3) * L^5 + P(4)")
+    d = realize_hodge(normalize(expr), atlas.diamond_table())
+    assert d.n == 579
+    assert d.pretty() == pretty_reference(d)
 
 
 @settings(max_examples=200)

@@ -23,7 +23,7 @@ class TestArithmetic:
 
     def test_add_assembles_fibration_coefficient(self):
         # (1+L+L^2+L^3+L^4) + L*(1+L+L^2) = 1+2L+2L^2+2L^3+L^4
-        assert ladder(0, 4) + ladder(0, 2).shift(1) == P("1 + 2L + 2L^2 + 2L^3 + L^4")
+        assert ladder(0, 4) + ladder(0, 2) * L == P("1 + 2L + 2L^2 + 2L^3 + L^4")
 
     def test_add_zero_identity(self):
         p = P("3 + L^5")
@@ -77,6 +77,52 @@ class TestDivision:
     def test_zero_divisor_rejected(self):
         with pytest.raises(ZeroDivisionError):
             ONE.div_exact(ZERO)
+
+
+def div_exact_reference(num: TatePolynomial, d: TatePolynomial) -> TatePolynomial:
+    """Long division that looks up the lowest remaining degree with min()
+    once per quotient term."""
+    rem, dc = num.coeffs, d.coeffs
+    quot = {}
+    d_lo = min(dc)
+    while rem:
+        r_lo = min(rem)
+        if r_lo < d_lo:
+            raise NotDivisibleError(f"{num} is not divisible by {d}")
+        c, m = divmod(rem[r_lo], dc[d_lo])
+        if m:
+            raise NotDivisibleError(f"{num} is not divisible by {d}")
+        shift = r_lo - d_lo
+        quot[shift] = c
+        for k, a in dc.items():
+            nv = rem.get(k + shift, 0) - a * c
+            if nv < 0:
+                raise NotDivisibleError(f"{num} is not divisible by {d}")
+            if nv:
+                rem[k + shift] = nv
+            else:
+                rem.pop(k + shift, None)
+    return TatePolynomial(quot)
+
+
+def outcome(divide, num, d):
+    try:
+        return divide(num, d)
+    except NotDivisibleError as exc:
+        return str(exc)
+
+
+class TestDivisionMatchesReference:
+    @settings(max_examples=500)
+    @given(tate_polys(), nonzero_tate_polys(), tate_polys(max_exp=14, max_coeff=3, max_size=3))
+    def test_quotient_or_refusal(self, p, d, extra):
+        num = p * d + extra
+        assert outcome(TatePolynomial.div_exact, num, d) == outcome(div_exact_reference, num, d)
+
+    def test_sparse_dividend(self):
+        far = L**10**12
+        assert (ONE + far).div_exact(ONE) == ONE + far
+        assert (far * (ONE + L)).div_exact(ONE + L) == far
 
 
 class TestEvalAtOne:
