@@ -189,13 +189,10 @@ class Atlas:
         return self._build(k3)
 
     def hilb2(self, name: str) -> AtlasEntry:
-        entry = self._built.get((hilb2_surface, name))
-        if entry is None:
-            base = self.get(name)
-            if base is None:
-                raise KeyError(name)
-            entry = self._built[hilb2_surface, name] = self.add(hilb2_surface(base))
-        return entry
+        base = self.get(name)
+        if base is None:
+            raise KeyError(name)
+        return self._build(hilb2_surface, base)
 
     def diamond_table(self) -> dict[str, HodgeDiamond]:
         return {name: e.diamond for name, e in self._entries.items()}

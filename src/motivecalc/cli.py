@@ -53,10 +53,13 @@ def _load_extra_atlas(atlas: Atlas, path: str) -> None:
             isinstance(t, list) and len(t) == 3 and all(map(_is_int, t)) for t in h
         ):
             raise bad(field, "a list of [p, q, v] integer triples")
+        torsion_free = item.get("torsion_free", False)
+        if not isinstance(torsion_free, bool):
+            raise bad("torsion_free", "a boolean")
         entry = AtlasEntry(
             atom=MotiveAtom(name, dim, frozenset({"smooth_projective"})),
             diamond=HodgeDiamond(dim, {(p, q): v for p, q, v in h}),
-            torsion_free=bool(item.get("torsion_free", False)),
+            torsion_free=torsion_free,
             provenance=f"user atlas file {path}",
         )
         atlas.add(entry)

@@ -19,9 +19,9 @@ unit twist.
 
 from __future__ import annotations
 
+import collections
 import re
 import sys
-from dataclasses import dataclass
 
 from .tatepoly import ONE, TatePolynomial
 from .motive import Atom, MotiveExpr, Sum, TensorTwist
@@ -50,15 +50,15 @@ class ArityError(DslError):
     pass
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # NAME | NAT | SYM | END
-    text: str
-    line: int
-    col: int
+# kind is NAME, NAT, SYM or END
+Token = collections.namedtuple("Token", "kind text line col")
 
-
-_TOKEN_RE = re.compile(r"\s*(?:(?P<NAT>\d+)|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)|(?P<SYM>[+*^(),]))")
+# one alternative per token kind, then a newline, a run of other whitespace
+# (no group) and any other single character
+_TOKEN_RE = re.compile(
+    r"(?P<NAT>\d+)|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)|(?P<SYM>[+*^(),])"
+    r"|(?P<NL>\n)|[^\S\n]+|(?P<BAD>.)"
+)
 
 # argument kind of a builtin: EXPR reads an expression, a string reads a
 # natural number and names it in errors
@@ -99,26 +99,19 @@ def tokenize(text: str) -> list[Token]:
     """Tokens with 1-based (line, column); END sits just past the text, on
     its last line."""
     tokens = []
-    pos = 0
-    line, line_start = 1, 0  # line of `pos` and its start offset; tokens hold no newline
-    while True:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:  # only whitespace, then the end or a bad character
-            start = len(text) - len(text[pos:].lstrip())
-        else:
-            start = m.start(m.lastgroup)
-        newlines = text.count("\n", pos, start)
-        if newlines:
-            line += newlines
-            line_start = text.rfind("\n", pos, start) + 1
-        col = start - line_start + 1
-        if m is None:
-            if start < len(text):
-                raise DslSyntaxError(f"unexpected character {text[start]!r}", line, col)
-            tokens.append(Token("END", "", line, col))
-            return tokens
-        tokens.append(Token(m.lastgroup, m.group(m.lastgroup), line, col))
-        pos = m.end()
+    line, line_start = 1, 0  # current line and its start offset
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "NL":
+            line += 1
+            line_start = m.end()
+        elif kind == "BAD":
+            col = m.start() - line_start + 1
+            raise DslSyntaxError(f"unexpected character {m.group()!r}", line, col)
+        elif kind:
+            tokens.append(Token(kind, m.group(), line, m.start() - line_start + 1))
+    tokens.append(Token("END", "", line, len(text) - line_start + 1))
+    return tokens
 
 
 class Parser:
@@ -137,6 +130,13 @@ class Parser:
         tok = self._tokens[self._i]
         self._i += 1
         return tok
+
+    def _accept(self, text: str) -> bool:
+        """Consume the next token if it reads `text`."""
+        if self._tokens[self._i].text == text:
+            self._i += 1
+            return True
+        return False
 
     def _expect(self, text: str) -> Token:
         tok = self._next()
@@ -187,8 +187,7 @@ class Parser:
             )
         self._depth += 1
         terms = [self._term()]
-        while self._peek().text == "+":
-            self._next()
+        while self._accept("+"):
             terms.append(self._term())
         self._depth -= 1
         return terms[0] if len(terms) == 1 else Sum(tuple(terms))
@@ -236,14 +235,15 @@ class Parser:
         except ValueError as exc:
             raise ArityError(f"{tok.text}: {exc}", tok.line, tok.col) from exc
 
+    def _exponent(self) -> int:
+        # the power of an 'L' just read: ('^' nat)?, default 1
+        return self._nat("an exponent") if self._accept("^") else 1
+
     def _twist(self) -> TatePolynomial:
-        tok = self._next()
-        if tok.kind == "NAME" and tok.text == "L":
-            k = 1
-            if self._peek().text == "^":
-                self._next()
-                k = self._nat("an exponent")
+        if self._accept("L"):
+            k = self._exponent()
             return TatePolynomial({k: 1}) if k else ONE
+        tok = self._next()
         if tok.text == "(":
             poly = self._polynomial()
             self._expect(")")
@@ -255,32 +255,23 @@ class Parser:
         coeffs: dict[int, int] = {}
         while True:
             tok = self._peek()
-            a = 1
-            k = 0
-            saw = False
+            a, k = 1, 0
             if tok.kind == "NAT":
                 a = self._nat("a coefficient")
-                saw = True
-                if self._peek().text == "*":
-                    self._next()
-            tok = self._peek()
-            if tok.kind == "NAME" and tok.text == "L":
-                self._next()
-                k = 1
-                saw = True
-                if self._peek().text == "^":
-                    self._next()
-                    k = self._nat("an exponent")
-            if not saw:
+                if self._accept("*"):
+                    self._expect("L")
+                    k = self._exponent()
+                elif self._accept("L"):
+                    k = self._exponent()
+            elif self._accept("L"):
+                k = self._exponent()
+            else:
+                got = tok.text or "end of input"
                 raise DslSyntaxError(
-                    f"expected a polynomial term, got {tok.text or 'end of input'!r}",
-                    tok.line,
-                    tok.col,
+                    f"expected a polynomial term, got {got!r}", tok.line, tok.col
                 )
             coeffs[k] = coeffs.get(k, 0) + a
-            if self._peek().text == "+":
-                self._next()
-            else:
+            if not self._accept("+"):
                 return TatePolynomial(coeffs)
 
 

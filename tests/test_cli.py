@@ -181,6 +181,10 @@ class TestAtlas:
             ([{"name": "S", "dim": 2, "h": [[0, 0]]}], "'h' must be a list of"),
             ([{"name": "S", "dim": 2, "h": [[0, 0, "1"]]}], "'h' must be a list of"),
             ([{"name": "S", "dim": 2, "diamond": 5}], "'diamond.h' must be a list of"),
+            (
+                [{"name": "S", "dim": 0, "h": [[0, 0, 1]], "torsion_free": "false"}],
+                "'torsion_free' must be a boolean",
+            ),
         ],
     )
     def test_atlas_schema_violation_exit_2(self, capsys, tmp_path, doc, message):
@@ -204,6 +208,9 @@ def test_end_of_input_column_is_relative_to_its_line(capsys):
     code, _, err = run(capsys, "dim", "K3 +\n")
     assert code == 2
     assert err == "error: expected expression, got 'end of input' (line 2, column 1)\n"
+    # a '*' after a coefficient needs an 'L', even at the end of the input
+    message = "error: expected 'L', got 'end of input' (line 1, column 4)\n"
+    assert run(capsys, "solve", "2 *", "P(0)", "P(0)") == (2, "", message)
 
 
 ONES = "1" * 5000

@@ -1,5 +1,6 @@
 import re
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -83,11 +84,20 @@ class TestParse:
 
 
 class TestErrors:
-    def test_syntax_error_has_position(self, parser):
+    @pytest.mark.parametrize(
+        "text, line, col",
+        [
+            pytest.param("Q(6) + + K3", 1, 8, id="double-plus"),
+            # a '*' after a coefficient needs an 'L'
+            pytest.param("K3 * (2 *)", 1, 10, id="star-before-paren"),
+            pytest.param("K3 * (2 * + L)", 1, 11, id="star-before-plus"),
+        ],
+    )
+    def test_syntax_error_has_position(self, parser, text, line, col):
         with pytest.raises(DslSyntaxError) as exc:
-            parser.parse("Q(6) + + K3")
-        assert exc.value.line == 1
-        assert exc.value.col == 8
+            parser.parse(text)
+        assert exc.value.line == line
+        assert exc.value.col == col
 
     def test_unknown_identifier(self, parser):
         with pytest.raises(UnknownIdentifierError):
@@ -147,12 +157,14 @@ def naive_position(text, at):
     return text.count("\n", 0, at) + 1, at - (text.rfind("\n", 0, at) + 1) + 1
 
 
+NAIVE_TOKEN = r"(?P<NAT>\d+)|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)|(?P<SYM>[+*^(),])"
+
+
 def naive_tokens(text):
     """(kind, text, line, col) of every token, each located from offset 0."""
-    token = r"(?P<NAT>\d+)|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)|(?P<SYM>[+*^(),])"
     out = [
         (m.lastgroup, m.group(), *naive_position(text, m.start()))
-        for m in re.finditer(token, text)
+        for m in re.finditer(NAIVE_TOKEN, text)
     ]
     # END sits just past the text
     return out + [("END", "", *naive_position(text, len(text)))]
@@ -181,6 +193,22 @@ class TestTokenizePositions:
         bad = next(i for i, ch in enumerate(text) if ch in "@$")
         assert (exc.value.line, exc.value.col) == naive_position(text, bad)
         assert exc.value.line == 3
+
+    # '\x0b' and '\x1c' are whitespace to str.isspace, '\r' is not a newline,
+    # '٣' is a digit; '@', 'é' and a leading '_' are no token
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="LK3Q6_ +*^(),\n\r\t\x0b\x1c٣@é", max_size=30))
+    def test_random_text_matches_naive_reference(self, text):
+        covered = {i for m in re.finditer(NAIVE_TOKEN, text) for i in range(*m.span())}
+        bad = [i for i, ch in enumerate(text) if i not in covered and not ch.isspace()]
+        if not bad:
+            got = [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+            assert got == naive_tokens(text)
+            return
+        with pytest.raises(DslSyntaxError) as exc:
+            tokenize(text)
+        assert (exc.value.line, exc.value.col) == naive_position(text, bad[0])
+        assert str(exc.value).startswith(f"unexpected character {text[bad[0]]!r}")
 
     def test_parse_error_on_line_three(self, parser):
         with pytest.raises(DslSyntaxError) as exc:
