@@ -18,7 +18,7 @@ class OddCohomologyError(ValueError):
 
 @dataclass(frozen=True)
 class AtlasEntry:
-    atom: MotiveAtom
+    name: str
     diamond: HodgeDiamond
     torsion_free: bool
     provenance: str
@@ -27,10 +27,8 @@ class AtlasEntry:
     cells: TatePolynomial | None = None
 
     def __post_init__(self):
-        if self.atom.dim != self.diamond.n:
-            raise ValueError("atom dimension disagrees with diamond")
         if not check_symmetries(self.diamond):
-            raise ValueError(f"diamond of {self.atom.name} fails symmetry checks")
+            raise ValueError(f"diamond of {self.name} fails symmetry checks")
 
 
 def _cellular(name: str, cells: TatePolynomial, provenance: str) -> AtlasEntry:
@@ -39,7 +37,7 @@ def _cellular(name: str, cells: TatePolynomial, provenance: str) -> AtlasEntry:
     diagonal, h^{k,k} = cells[k]."""
     n = cells.degree
     return AtlasEntry(
-        atom=MotiveAtom(name, n, frozenset({"smooth_projective", "cellular"})),
+        name=name,
         diamond=HodgeDiamond(n, {(k, k): a for k, a in cells.items()}),
         torsion_free=True,
         provenance=provenance,
@@ -94,7 +92,7 @@ def grassmannian(k: int, n: int) -> AtlasEntry:
 def k3() -> AtlasEntry:
     h = {(0, 0): 1, (2, 0): 1, (1, 1): 20, (0, 2): 1, (2, 2): 1}
     return AtlasEntry(
-        atom=MotiveAtom("K3", 2, frozenset({"smooth_projective"})),
+        name="K3",
         diamond=HodgeDiamond(2, h),
         torsion_free=True,
         provenance="K3 surface",
@@ -132,12 +130,10 @@ def hilb2_surface(s: AtlasEntry) -> AtlasEntry:
         bump(p + 1, q + 1, v)
 
     return AtlasEntry(
-        atom=MotiveAtom(
-            f"Hilb2{s.atom.name}", 4, frozenset({"smooth_projective"})
-        ),
+        name=f"Hilb2{s.name}",
         diamond=HodgeDiamond(4, h),
         torsion_free=s.torsion_free,
-        provenance=f"Hilbert square of {s.atom.name}",
+        provenance=f"Hilbert square of {s.name}",
     )
 
 
@@ -151,13 +147,13 @@ class Atlas:
         self._built: dict[tuple, AtlasEntry] = {}
 
     def add(self, entry: AtlasEntry) -> AtlasEntry:
-        existing = self._entries.get(entry.atom.name)
+        existing = self._entries.get(entry.name)
         if existing is not None:
             if existing != entry:
-                raise ValueError(f"entry {entry.atom.name!r} already present")
+                raise ValueError(f"entry {entry.name!r} already present")
             return existing
-        self.registry.register(entry.atom)
-        self._entries[entry.atom.name] = entry
+        self.registry.register(MotiveAtom(entry.name, entry.diamond.n))
+        self._entries[entry.name] = entry
         return entry
 
     def get(self, name: str) -> AtlasEntry | None:
@@ -204,7 +200,7 @@ class Atlas:
             out.append(
                 {
                     "name": name,
-                    "dim": e.atom.dim,
+                    "dim": e.diamond.n,
                     "torsion_free": e.torsion_free,
                     "provenance": e.provenance,
                     "cells": str(e.cells) if e.cells is not None else None,

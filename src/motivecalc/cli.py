@@ -15,7 +15,7 @@ from .motive import MotiveAtom, NotASummandError, dim_of, normalize, solve_tenso
 from .hodge import HodgeDiamond, realize_hodge
 from .atlas import Atlas, AtlasEntry
 from .dsl import Parser, print_twist
-from .gm import GMScenario, full_report, verify_identity
+from .gm import SCENARIO_DIMS, GMScenario, full_report, verify_identity
 
 SCHEMA = "motive-calc/1"
 
@@ -30,7 +30,10 @@ def _is_int(x) -> bool:
 
 def _load_extra_atlas(atlas: Atlas, path: str) -> None:
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"atlas file {path}: nested too deeply to read") from None
     if not isinstance(data, list):
         raise ValueError(f"atlas file {path}: top level must be a list of objects")
     for i, item in enumerate(data):
@@ -57,7 +60,7 @@ def _load_extra_atlas(atlas: Atlas, path: str) -> None:
         if not isinstance(torsion_free, bool):
             raise bad("torsion_free", "a boolean")
         entry = AtlasEntry(
-            atom=MotiveAtom(name, dim, frozenset({"smooth_projective"})),
+            name=name,
             diamond=HodgeDiamond(dim, {(p, q): v for p, q, v in h}),
             torsion_free=torsion_free,
             provenance=f"user atlas file {path}",
@@ -196,8 +199,8 @@ def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     atlas = Atlas()
     # atoms of the sixfold scenario, usable by name in expressions
-    atlas.registry.register(MotiveAtom("Hilb2QY", 3, frozenset({"smooth_projective"})))
-    atlas.registry.register(MotiveAtom("X", 6, frozenset({"unknown"})))
+    for name in ("Hilb2QY", "X"):
+        atlas.registry.register(MotiveAtom(name, SCENARIO_DIMS[name]))
     try:
         if getattr(args, "atlas", None):
             _load_extra_atlas(atlas, args.atlas)

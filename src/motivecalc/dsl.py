@@ -68,17 +68,17 @@ EXPR = None
 def _hilb2(atlas: Atlas, inner: MotiveExpr) -> MotiveExpr:
     if not isinstance(inner, Atom) or atlas.get(inner.name) is None:
         raise ValueError("argument must name an atlas surface")
-    return Atom(atlas.hilb2(inner.name).atom.name)
+    return Atom(atlas.hilb2(inner.name).name)
 
 
 # name -> (argument kinds, constructor taking the atlas and the arguments);
 # the constructors check the argument values
 BUILTINS = {
-    "P": (("a dimension",), lambda atlas, n: Atom(atlas.projective_space(n).atom.name)),
-    "Q": (("a dimension",), lambda atlas, n: Atom(atlas.quadric(n).atom.name)),
+    "P": (("a dimension",), lambda atlas, n: Atom(atlas.projective_space(n).name)),
+    "Q": (("a dimension",), lambda atlas, n: Atom(atlas.quadric(n).name)),
     "Gr": (
         ("a subspace dimension", "an ambient dimension"),
-        lambda atlas, k, n: Atom(atlas.grassmannian(k, n).atom.name),
+        lambda atlas, k, n: Atom(atlas.grassmannian(k, n).name),
     ),
     "Hilb2": ((EXPR,), _hilb2),
     "PB": ((EXPR, "a bundle rank"), lambda atlas, e, r: projective_bundle(e, r)),

@@ -30,6 +30,10 @@ class ScenarioError(ValueError):
     """Declared facts are mutually inconsistent."""
 
 
+# dimensions of the atoms of the sixfold construction, the unknown X included
+SCENARIO_DIMS = {"B": 6, "Y": 2, "Hilb2QY": 3, "X": 6}
+
+
 @dataclass
 class GMScenario:
     """Declared geometric facts of the sixfold construction.
@@ -61,11 +65,8 @@ class GMScenario:
 
     def __post_init__(self):
         self.atlas = Atlas()
-        registry = self.atlas.registry
-        registry.register(MotiveAtom("B", 6, frozenset({"smooth_projective"})))
-        registry.register(MotiveAtom("Y", 2, frozenset({"smooth_projective"})))
-        registry.register(MotiveAtom("Hilb2QY", 3, frozenset({"smooth_projective"})))
-        registry.register(MotiveAtom("X", 6, frozenset({"unknown"})))
+        for name, dim in SCENARIO_DIMS.items():
+            self.atlas.registry.register(MotiveAtom(name, dim))
         self.atlas.projective_space(self.pv5_dim)
 
     @property

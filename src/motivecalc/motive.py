@@ -1,14 +1,16 @@
 """Expression algebra for motive decompositions.
 
 Expressions are trees built from named atoms, direct sums, and tensoring by
-a twist polynomial; an atom to be solved for is an ordinary atom whose
-registry entry carries the "unknown" tag.  The canonical representation is a
-NormalForm: a map atom-name -> TatePolynomial.  Equality, summand
-subtraction, and the solve/cancel step all happen at the normal-form level.
+a twist polynomial; the registry maps atom names to dimensions, and an atom
+to be solved for is an ordinary registered atom.  The canonical
+representation is a NormalForm: a map atom-name -> TatePolynomial.
+Equality, summand subtraction, and the solve/cancel step all happen at the
+normal-form level.
 """
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 from collections.abc import Mapping
 
@@ -23,43 +25,33 @@ class NotASummandError(ArithmeticError):
     """Attempted to remove a summand that does not embed coefficientwise."""
 
 
-@dataclass(frozen=True)
-class MotiveAtom:
-    """An opaque generator: the motive of a named variety of known dimension."""
-
-    name: str
-    dim: int
-    tags: frozenset[str] = frozenset()
-
-    def __post_init__(self):
-        if self.dim < 0:
-            raise ValueError("dim must be nonnegative")
-        object.__setattr__(self, "tags", frozenset(self.tags))
+# an opaque generator: the motive of a named variety of known dimension; the
+# registry reads only the name and the dimension of an atom
+MotiveAtom = collections.namedtuple("MotiveAtom", "name dim tags", defaults=(frozenset(),))
 
 
 class AtomRegistry:
-    """Append-only name -> MotiveAtom table."""
+    """Append-only name -> dimension table."""
 
     def __init__(self):
-        self._atoms: dict[str, MotiveAtom] = {}
+        self._dims: dict[str, int] = {}
 
-    def register(self, atom: MotiveAtom) -> MotiveAtom:
-        existing = self._atoms.get(atom.name)
-        if existing is None:
-            self._atoms[atom.name] = atom
-            return atom
-        if existing != atom:
-            raise ValueError(f"atom {atom.name!r} already registered with different data")
-        return existing
+    def register(self, atom: MotiveAtom) -> None:
+        name, dim = atom.name, atom.dim
+        if dim < 0:
+            raise ValueError("dim must be nonnegative")
+        have = self._dims.setdefault(name, dim)
+        if have != dim:
+            raise ValueError(f"atom {name!r} already registered with dim {have}, not {dim}")
 
-    def get(self, name: str) -> MotiveAtom:
+    def dim(self, name: str) -> int:
         try:
-            return self._atoms[name]
+            return self._dims[name]
         except KeyError:
             raise UnregisteredAtomError(name) from None
 
     def __contains__(self, name: str) -> bool:
-        return name in self._atoms
+        return name in self._dims
 
 
 # -- expression trees ------------------------------------------------------
@@ -218,7 +210,7 @@ def dim_of(e: MotiveExpr, registry: AtomRegistry) -> int:
     while stack:
         node, shift = stack.pop()
         if isinstance(node, Atom):
-            top = max(top, registry.get(node.name).dim + shift)
+            top = max(top, registry.dim(node.name) + shift)
         elif isinstance(node, Sum):
             stack.extend((c, shift) for c in reversed(node.children))
         elif isinstance(node, TensorTwist):

@@ -48,9 +48,8 @@ from motivecalc.gm import (
 )
 from motivecalc.hodge import FREE, HodgeDiamond
 from motivecalc.atlas import AtlasEntry
-from motivecalc.motive import MotiveAtom
 
-from conftest import motive_exprs, nonzero_tate_polys, session_atlas, tate_polys
+from strategies import motive_exprs, nonzero_tate_polys, session_atlas, tate_polys
 
 P = Parser().parse_polynomial
 
@@ -152,7 +151,7 @@ def test_criterion_7_atlas_oracles():
     for _ in range(5):
         h20, h11 = rng.randrange(0, 4), rng.randrange(1, 30)
         entry = AtlasEntry(
-            atom=MotiveAtom(f"S{h20}_{h11}", 2),
+            name=f"S{h20}_{h11}",
             diamond=HodgeDiamond(
                 2, {(0, 0): 1, (2, 2): 1, (2, 0): h20, (0, 2): h20, (1, 1): h11}
             ),
@@ -183,8 +182,8 @@ class TestCriterion8PropertySuites:
         atlas.projective_space(0)
         atlas.projective_space(1)
         atlas.quadric(4)
-        dc = atlas.registry.get(center).dim
-        ambient = atlas.projective_space(dc + codim).atom.name
+        dc = atlas.registry.dim(center)
+        ambient = atlas.projective_space(dc + codim).name
         table = atlas.diamond_table()
         e = blow_up(Atom(ambient), Atom(center), codim, atlas.registry)
         chi = realize_hodge(normalize(e), atlas.diamond_table()).euler()

@@ -22,7 +22,6 @@ from motivecalc import (
 )
 from motivecalc.atlas import AtlasEntry
 from motivecalc.hodge import HodgeDiamond
-from motivecalc.motive import MotiveAtom
 
 
 # -- oracles ----------------------------------------------------------------
@@ -93,7 +92,7 @@ def random_surface_entry(rng):
         2, {(0, 0): 1, (2, 2): 1, (2, 0): h20, (0, 2): h20, (1, 1): h11}
     )
     return AtlasEntry(
-        atom=MotiveAtom(f"S_{h20}_{h11}", 2),
+        name=f"S_{h20}_{h11}",
         diamond=d,
         torsion_free=True,
         provenance="random test surface",
@@ -205,7 +204,7 @@ class TestHilb2:
 
     def test_rejects_odd_cohomology(self):
         bad = AtlasEntry(
-            atom=MotiveAtom("A", 2),
+            name="A",
             diamond=HodgeDiamond(
                 2, {(0, 0): 1, (1, 0): 2, (0, 1): 2, (1, 1): 2,
                     (2, 1): 2, (1, 2): 2, (2, 2): 1}
@@ -252,7 +251,6 @@ def test_every_entry_passes_symmetry_checks():
     ]
     for e in entries:
         assert check_symmetries(e.diamond)
-        assert e.atom.dim == e.diamond.n
 
 
 def test_atlas_caching_and_dump():
@@ -290,7 +288,7 @@ def test_clashing_user_entry_fails_on_every_call():
     atlas = Atlas()
     fake = projective_space(3)
     diamond = HodgeDiamond(3, {(0, 0): 1, (1, 1): 2, (2, 2): 2, (3, 3): 1})
-    atlas.add(AtlasEntry(fake.atom, diamond, True, "user entry"))
+    atlas.add(AtlasEntry(fake.name, diamond, True, "user entry"))
     for _ in range(2):
         with pytest.raises(ValueError, match="entry 'P3' already present"):
             atlas.projective_space(3)

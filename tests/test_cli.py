@@ -159,11 +159,39 @@ class TestAtlas:
         assert code == 0
         assert out.strip() == "0"
 
-    def test_bad_atlas_file_exit_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("{not json", id="not-json"),
+            # deeper than the JSON reader's recursion limit
+            pytest.param("[" * 100000 + "]" * 100000, id="deep-nesting"),
+        ],
+    )
+    def test_bad_atlas_file_exit_2(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        code, _, err = run(capsys, "euler", "--atlas", str(path), "K3")
+        path.write_text(text)
+        code, out, err = run(capsys, "normalize", "--atlas", str(path), "P(1)")
         assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, dim, code, stream",
+        [
+            # the scenario atoms take a diamond of their registered dimension
+            ("X", 6, 0, "1 0 1 0 1 0 1 0 1 0 1 0 1\n"),
+            ("Hilb2QY", 3, 0, "1 0 1 0 1 0 1\n"),
+            ("X", 5, 2, "error: atom 'X' already registered with dim 6, not 5\n"),
+        ],
+    )
+    def test_atlas_entry_for_scenario_atom(self, capsys, tmp_path, name, dim, code, stream):
+        h = [[k, k, 1] for k in range(dim + 1)]
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps([{"name": name, "dim": dim, "h": h}]))
+        got, out, err = run(capsys, "betti", "--atlas", str(path), name)
+        assert got == code
+        assert (out, err) == ((stream, "") if code == 0 else ("", stream))
 
     @pytest.mark.parametrize(
         "doc, message",

@@ -25,7 +25,7 @@ from motivecalc.dsl import (
 )
 from motivecalc.formulas import DimensionMismatchError
 
-from conftest import motive_exprs, session_atlas
+from strategies import motive_exprs, session_atlas
 
 P = Parser().parse_polynomial
 

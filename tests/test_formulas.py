@@ -22,7 +22,7 @@ from motivecalc import (
 from motivecalc.dsl import Parser
 from motivecalc.formulas import projective_fibration
 
-from conftest import session_atlas
+from strategies import session_atlas
 
 P = Parser().parse_polynomial
 
@@ -164,8 +164,8 @@ def test_euler_additivity_and_multiplicativity(center, codim, rank):
     atlas.projective_space(0)
     atlas.projective_space(1)
     atlas.quadric(3)
-    center_dim = atlas.registry.get(center).dim
-    ambient = atlas.projective_space(center_dim + codim).atom.name
+    center_dim = atlas.registry.dim(center)
+    ambient = atlas.projective_space(center_dim + codim).name
     table = atlas.diamond_table()
 
     e = blow_up(Atom(ambient), Atom(center), codim, atlas.registry)

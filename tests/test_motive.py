@@ -20,7 +20,7 @@ from motivecalc import (
 from motivecalc.dsl import Parser
 from motivecalc.tatepoly import ONE, ZERO, L
 
-from conftest import motive_exprs, nonzero_tate_polys, tate_polys
+from strategies import motive_exprs, nonzero_tate_polys, tate_polys
 
 P = Parser().parse_polynomial
 
@@ -193,8 +193,15 @@ def test_registry_rejects_conflicting_reregistration():
     reg = AtomRegistry()
     reg.register(MotiveAtom("B", 6))
     reg.register(MotiveAtom("B", 6))  # identical is fine
-    with pytest.raises(ValueError):
+    # the third field takes no part in the clash check
+    reg.register(MotiveAtom("B", 6, frozenset({"unknown"})))
+    assert reg.dim("B") == 6
+    with pytest.raises(ValueError, match="dim 6, not 5"):
         reg.register(MotiveAtom("B", 5))
+    with pytest.raises(ValueError, match="nonnegative"):
+        reg.register(MotiveAtom("B", -1))
+    with pytest.raises(UnregisteredAtomError):
+        reg.dim("C")
 
 
 class TestDeepTrees:

@@ -6,7 +6,7 @@ from motivecalc import ONE, ZERO, L, NotDivisibleError, TatePolynomial, ladder
 
 from motivecalc.dsl import Parser
 
-from conftest import nonzero_tate_polys, tate_polys
+from strategies import nonzero_tate_polys, tate_polys
 
 
 P = Parser().parse_polynomial
