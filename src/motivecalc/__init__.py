@@ -23,7 +23,6 @@ from .hodge import (
     MissingRealizationError,
     check_symmetries,
     realize_hodge,
-    torsion_status,
 )
 from .atlas import (
     Atlas,

@@ -9,21 +9,22 @@ torsion-freeness certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .tatepoly import ONE, L
 from .motive import (
     Atom,
+    AtomRegistry,
     MotiveAtom,
     NormalForm,
     Solved,
     normalize,
     solve_tensor_factor,
 )
-from .hodge import UNKNOWN, HodgeDiamond, atom_torsion, realize_hodge, torsion_status
-from .atlas import Atlas
+from .hodge import FREE, UNKNOWN, HodgeDiamond, atom_torsion, realize_hodge
+from . import atlas
 from .formulas import DimensionMismatchError, InvalidRankError
-from .formulas import blow_up, codim_rank_leq, kunneth, projective_fibration
+from .formulas import blow_up, codim_rank_leq, projective_fibration
 
 
 class ScenarioError(ValueError):
@@ -32,6 +33,11 @@ class ScenarioError(ValueError):
 
 # dimensions of the atoms of the sixfold construction, the unknown X included
 SCENARIO_DIMS = {"B": 6, "Y": 2, "Hilb2QY": 3, "X": 6}
+
+# what every blow-up gate of the construction checks; never written after import
+REGISTRY = AtomRegistry()
+for _name, _dim in SCENARIO_DIMS.items():
+    REGISTRY.register(MotiveAtom(_name, _dim))
 
 
 @dataclass
@@ -60,14 +66,6 @@ class GMScenario:
     codim_d2: int = 6
     codim_d1: int = 2
     codim_lhs_center: int = 4
-
-    atlas: Atlas = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.atlas = Atlas()
-        for name, dim in SCENARIO_DIMS.items():
-            self.atlas.registry.register(MotiveAtom(name, dim))
-        self.atlas.projective_space(self.pv5_dim)
 
     @property
     def ambient_dim(self) -> int:
@@ -113,17 +111,17 @@ def build_d1_prime(s: GMScenario):
     """The resolved corank-1 locus as an iterated blow-up."""
     psy = projective_fibration(Atom("Y"), s.psy_fiber)
     pbr = projective_fibration(Atom("B"), s.pbr_fiber)
-    inner = blow_up(pbr, psy, s.codim_psy, s.atlas.registry)
+    inner = blow_up(pbr, psy, s.codim_psy, REGISTRY)
     center = projective_fibration(build_d2(s), s.rho_fiber)
-    return blow_up(inner, center, s.codim_rho_d2, s.atlas.registry)
+    return blow_up(inner, center, s.codim_rho_d2, REGISTRY)
 
 
 def build_rhs(s: GMScenario):
     """Double blow-up of the product side, grouped by the B, Y and
     Hilbert-square atoms."""
-    bp = kunneth(Atom("B"), Atom(f"P{s.pv5_dim}"), s.atlas)
-    stage1 = blow_up(bp, build_d2(s), s.codim_d2, s.atlas.registry)
-    return blow_up(stage1, build_d1_prime(s), s.codim_d1, s.atlas.registry)
+    bp = projective_fibration(Atom("B"), s.pv5_dim)
+    stage1 = blow_up(bp, build_d2(s), s.codim_d2, REGISTRY)
+    return blow_up(stage1, build_d1_prime(s), s.codim_d1, REGISTRY)
 
 
 def build_lhs(s: GMScenario):
@@ -131,7 +129,7 @@ def build_lhs(s: GMScenario):
     projective fibration over the corank-2 locus."""
     top = projective_fibration(projective_fibration(Atom("X"), s.px_fiber), s.ux_fiber)
     center = projective_fibration(build_d2(s), s.lhs_center_fiber)
-    return blow_up(top, center, s.codim_lhs_center, s.atlas.registry)
+    return blow_up(top, center, s.codim_lhs_center, REGISTRY)
 
 
 def expected_mx() -> NormalForm:
@@ -150,7 +148,6 @@ class Derivation:
     raised, so perturbed scenarios can be probed; lhs and rhs are then None.
     """
 
-    scenario: GMScenario = field(repr=False, compare=False)
     ok: bool
     message: str
     lhs: NormalForm | None = None
@@ -175,16 +172,15 @@ class Derivation:
         whose atoms all have torsion-free integral cohomology, hence its own
         integral cohomology is torsion-free."""
         lhs, rhs = self.sides()
-        flags = torsion_flags(self.scenario)
         unit = lhs.coefficient("X").coefficient(0) >= 1
-        status = atom_torsion(rhs, flags)
-        conclusion = torsion_status(rhs, flags) if unit else UNKNOWN
+        status = atom_torsion(rhs, torsion_flags())
+        conclusion = FREE if unit and UNKNOWN not in status.values() else UNKNOWN
         return TorsionCertificate(unit, status, conclusion)
 
     def answer(self) -> tuple[Solved, HodgeDiamond, TorsionCertificate]:
         """The solved M(X), its Hodge diamond and its torsion certificate."""
         solved = self.solve()
-        diamond = realize_hodge(solved.normal_form, realization_table(self.scenario))
+        diamond = realize_hodge(solved.normal_form, realization_table())
         return solved, diamond, self.torsion()
 
 
@@ -199,17 +195,17 @@ def verify_identity(s: GMScenario) -> Derivation:
         s.validate()
         lhs, rhs = (normalize(build_side(s)) for build_side in (build_lhs, build_rhs))
     except (ScenarioError, DimensionMismatchError, InvalidRankError) as exc:
-        return Derivation(s, False, f"construction failed: {exc}", error=exc)
+        return Derivation(False, f"construction failed: {exc}", error=exc)
     substituted = lhs.substitute("X", expected_mx())
     if substituted == rhs:
-        return Derivation(s, True, "identity holds", lhs, rhs)
+        return Derivation(True, "identity holds", lhs, rhs)
     diffs = []
     for name in sorted(set(substituted.atoms()) | set(rhs.atoms())):
         a, b = substituted.coefficient(name), rhs.coefficient(name)
         if a != b:
             diffs.append(f"{name}: {a} vs {b}")
     message = "normal forms differ: " + "; ".join(diffs)
-    return Derivation(s, False, message, lhs, rhs)
+    return Derivation(False, message, lhs, rhs)
 
 
 def solve_mx(s: GMScenario) -> Solved:
@@ -217,22 +213,22 @@ def solve_mx(s: GMScenario) -> Solved:
     return verify_identity(s).solve()
 
 
-def realization_table(s: GMScenario) -> dict[str, HodgeDiamond]:
+def realization_table() -> dict[str, HodgeDiamond]:
     """Hodge diamonds of the atoms of the answer: B is the quadric Q6 and Y
-    the K3 surface, both taken from the scenario's atlas."""
-    return {"B": s.atlas.quadric(6).diamond, "Y": s.atlas.k3().diamond}
+    the K3 surface, both built by the atlas constructors."""
+    return {"B": atlas.quadric(6).diamond, "Y": atlas.k3().diamond}
 
 
-def torsion_flags(s: GMScenario) -> dict[str, bool]:
-    """Torsion-freeness of the building blocks, read off the scenario's
-    atlas: B is the quadric Q6 and Y the K3 surface.  Hilb2QY takes the flag
-    of Hilb2(K3): it is a smooth ample divisor there, so by Lefschetz and
-    universal coefficients its integral cohomology is torsion-free whenever
-    the ambient one is."""
+def torsion_flags() -> dict[str, bool]:
+    """Torsion-freeness of the building blocks, read off the atlas
+    constructors' entries: B is the quadric Q6 and Y the K3 surface.
+    Hilb2QY takes the flag of Hilb2(K3): it is a smooth ample divisor there,
+    so by Lefschetz and universal coefficients its integral cohomology is
+    torsion-free whenever the ambient one is."""
     return {
-        "B": s.atlas.quadric(6).torsion_free,
-        "Y": s.atlas.k3().torsion_free,
-        "Hilb2QY": s.atlas.hilb2("K3").torsion_free,
+        "B": atlas.quadric(6).torsion_free,
+        "Y": atlas.k3().torsion_free,
+        "Hilb2QY": atlas.hilb2_surface(atlas.k3()).torsion_free,
     }
 
 

@@ -134,10 +134,3 @@ def atom_torsion(nf: NormalForm, flags: Mapping[str, bool]) -> dict[str, str]:
             raise MissingRealizationError(f"no torsion flag for atom {name!r}")
         status[name] = FREE if flags[name] else UNKNOWN
     return status
-
-
-def torsion_status(nf: NormalForm, flags: Mapping[str, bool]) -> str:
-    """FREE iff every atom occurring in the normal form is FREE; a direct sum
-    of Tate twists of torsion-free groups is torsion-free, and so is any
-    direct summand of one."""
-    return FREE if all(s == FREE for s in atom_torsion(nf, flags).values()) else UNKNOWN

@@ -1,12 +1,11 @@
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from motivecalc import (
     NormalForm,
     blow_up,
-    kunneth,
     ladder,
     normalize,
     realize_hodge,
@@ -30,6 +29,7 @@ from motivecalc.gm import (
     verify_identity,
 )
 from motivecalc.dsl import Parser
+from motivecalc.formulas import projective_fibration
 from motivecalc.hodge import FREE, UNKNOWN
 from motivecalc.motive import Atom
 
@@ -94,10 +94,10 @@ class TestVerifyIdentity:
 
     def test_blowup_order_invariance(self, scenario):
         s = scenario
-        bp = kunneth(Atom("B"), Atom("P4"), s.atlas)
+        bp = projective_fibration(Atom("B"), s.pv5_dim)
         d2 = build_d2(s)
         d1p = build_d1_prime(s)
-        reg = s.atlas.registry
+        reg = gm.REGISTRY
         order_a = blow_up(blow_up(bp, d2, s.codim_d2, reg), d1p, s.codim_d1, reg)
         order_b = blow_up(blow_up(bp, d1p, s.codim_d1, reg), d2, s.codim_d2, reg)
         assert normalize(order_a) == normalize(order_b) == RHS_EXPECTED
@@ -157,7 +157,7 @@ class TestSolve:
         assert solved.scale(m1) + m2 == RHS_EXPECTED
 
     def test_realized_diamond(self, scenario):
-        d = realize_hodge(solve_mx(scenario).normal_form, realization_table(scenario))
+        d = realize_hodge(solve_mx(scenario).normal_form, realization_table())
         assert d.hodge(3, 3) == 22
         assert d.betti() == (1, 0, 1, 0, 2, 0, 24, 0, 2, 0, 1, 0, 1)
         assert d.euler() == 32
@@ -165,7 +165,7 @@ class TestSolve:
     def test_diamond_is_quadric_plus_twisted_k3_entrywise(self, scenario):
         from motivecalc import k3, quadric
 
-        d = realize_hodge(solve_mx(scenario).normal_form, realization_table(scenario))
+        d = realize_hodge(solve_mx(scenario).normal_form, realization_table())
         q6, s = quadric(6).diamond, k3().diamond
         for p in range(7):
             for q in range(7):
@@ -181,7 +181,7 @@ class TestTorsion:
         assert cert.atom_status == {"B": FREE, "Y": FREE, "Hilb2QY": FREE}
 
     def test_hilb_profile_shape(self, scenario):
-        assert torsion_flags(scenario) == {"B": True, "Y": True, "Hilb2QY": True}
+        assert torsion_flags() == {"B": True, "Y": True, "Hilb2QY": True}
 
     def test_forced_unknown_propagates(self, monkeypatch):
         # only the Hilb2(K3) entry is untrusted: the K3 itself stays free
@@ -211,6 +211,31 @@ def untrusted_atoms(monkeypatch, builtin):
     torsion = full_report(GMScenario())["torsion"]
     assert torsion["conclusion"] == UNKNOWN
     return {a for a, status in torsion["atoms"].items() if status == UNKNOWN}
+
+
+def test_scenario_is_its_facts():
+    assert GMScenario() == GMScenario()
+    assert perturbed(GMScenario(), codim_d2=5) == GMScenario(codim_d2=5)
+    facts = vars(GMScenario())
+    assert len(facts) == 15 and set(facts) == {f.name for f in fields(GMScenario)}
+
+
+@pytest.mark.parametrize("pv5_dim", [-1, 1001])
+def test_out_of_range_fact_fails_verification(pv5_dim):
+    # facts are not checked when the scenario is built; validate rejects them
+    d = verify_identity(GMScenario(pv5_dim=pv5_dim))
+    assert not d.ok and type(d.error) is ScenarioError
+
+
+def test_derivations_leave_the_registry_alone():
+    s = GMScenario()
+    full_report(s)
+    for f in fields(GMScenario):
+        for step in (-1, 1):
+            full_report(perturbed(s, **{f.name: getattr(s, f.name) + step}))
+    assert "P4" not in gm.REGISTRY
+    for name, dim in gm.SCENARIO_DIMS.items():
+        assert gm.REGISTRY.dim(name) == dim
 
 
 class TestScenarioValidation:

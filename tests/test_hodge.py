@@ -14,10 +14,9 @@ from motivecalc import (
     projective_space,
     quadric,
     realize_hodge,
-    torsion_status,
 )
 from motivecalc.dsl import Parser
-from motivecalc.hodge import FREE, UNKNOWN
+from motivecalc.hodge import FREE, UNKNOWN, atom_torsion
 from motivecalc.tatepoly import ONE, L
 
 P = Parser().parse_polynomial
@@ -148,18 +147,18 @@ class TestTorsionStatus:
 
     def test_all_free(self):
         nf = NormalForm({"B": ONE, "Y": P("L^2"), "Hilb": P("L")})
-        assert torsion_status(nf, self.make_table()) == FREE
+        assert atom_torsion(nf, self.make_table()) == {"B": FREE, "Y": FREE, "Hilb": FREE}
 
     def test_empty_is_free(self):
-        assert torsion_status(NormalForm(), {}) == FREE
+        assert atom_torsion(NormalForm(), {}) == {}
 
     def test_unknown_atom_propagates(self):
         nf = NormalForm({"Hilb": ONE})
-        assert torsion_status(nf, self.make_table(hilb_free=False)) == UNKNOWN
+        assert atom_torsion(nf, self.make_table(hilb_free=False)) == {"Hilb": UNKNOWN}
 
     def test_missing_profile(self):
         with pytest.raises(MissingRealizationError, match="no torsion flag for atom 'B'"):
-            torsion_status(NormalForm({"B": ONE}), {})
+            atom_torsion(NormalForm({"B": ONE}), {})
 
 
 class TestBettiPolynomial:
