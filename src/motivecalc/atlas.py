@@ -5,9 +5,10 @@ squares of surfaces with no odd cohomology.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .tatepoly import MAX_DIM, L, TatePolynomial, ladder
+from .tatepoly import MAX_DIM, L, TatePolynomial, _unpack, ladder
 from .motive import AtomRegistry, MotiveAtom
 from .hodge import HodgeDiamond, check_symmetries
 
@@ -68,17 +69,13 @@ def gaussian_binomial(n: int, k: int) -> TatePolynomial:
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     k = min(k, n - k)  # [n, k] = [n, n - k]; each row keeps columns 0..k only
-    row = [[1]]  # row[j] lists the coefficients of [m, j], for j <= min(m, k)
+    # row[j] packs [m, j] at w bytes a degree: its coefficients sum to comb(m, j) <= comb(n, k)
+    w = (math.comb(n, k).bit_length() + 7) // 8
+    row = [1] + [0] * k
     for m in range(1, n + 1):
-        new = [[1]]
-        for j in range(1, min(m, k + 1)):
-            # [m, j] = [m-1, j-1] + L^j [m-1, j]; the shifted term is the longer
-            low, high = row[j - 1], row[j]
-            c = low + [0] * (j + len(high) - len(low))
-            c[j:] = [a + b for a, b in zip(c[j:], high)]
-            new.append(c)
-        row = new + [[1]] if m <= k else new
-    return TatePolynomial(dict(enumerate(row[k])))
+        # [m, j] = [m-1, j-1] + L^j [m-1, j], where [m-1, j] = 0 for j >= m
+        row = [1] + [row[j - 1] + (row[j] << 8 * w * j) for j in range(1, k + 1)]
+    return TatePolynomial(_unpack(row[k], w))
 
 
 def grassmannian(k: int, n: int) -> AtlasEntry:

@@ -20,6 +20,33 @@ class NotDivisibleError(ArithmeticError):
     """No quotient with nonnegative integer coefficients exists."""
 
 
+def _dense(c: dict[int, int]) -> bool:
+    """16+ terms under 4 degrees apart on average: packing beats the loops there."""
+    return len(c) >= 16 and max(c) - min(c) < 4 * len(c)
+
+
+def _pack(c: dict[int, int], w: int) -> tuple[int, int]:
+    """(lo, n): degrees lo = min(c) .. max(c) of c as the w-byte digits of n."""
+    lo = min(c)
+    digits = [c.get(k, 0).to_bytes(w, "little") for k in range(lo, max(c) + 1)]
+    return lo, int.from_bytes(b"".join(digits), "little")
+
+
+def _unpack(n: int, w: int, lo: int = 0) -> dict[int, int]:
+    """The nonzero w-byte digits of n, keyed by their place plus lo."""
+    b = n.to_bytes((n.bit_length() + 7) // 8, "little")
+    digits = (int.from_bytes(b[i : i + w], "little") for i in range(0, len(b), w))
+    return {lo + k: a for k, a in enumerate(digits) if a}
+
+
+def _packed_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """a * b as one int product; a coefficient sums at most min(len) pairs."""
+    top = max(a.values()) * max(b.values()) * min(len(a), len(b))
+    w = (top.bit_length() + 7) // 8
+    (lo_a, x), (lo_b, y) = _pack(a, w), _pack(b, w)
+    return _unpack(x * y, w, lo_a + lo_b)
+
+
 class TatePolynomial:
     """A formal nonnegative-integer combination of powers of the Tate class L.
 
@@ -94,6 +121,8 @@ class TatePolynomial:
         pairs = len(self._coeffs) * len(other._coeffs)
         if pairs > MAX_PAIRS:
             raise ValueError(f"twist product of {pairs} term pairs exceeds {MAX_PAIRS}")
+        if _dense(self._coeffs) and _dense(other._coeffs):
+            return TatePolynomial(_packed_product(self._coeffs, other._coeffs))
         out: dict[int, int] = {}
         for k1, a1 in self._coeffs.items():
             for k2, a2 in other._coeffs.items():
@@ -123,10 +152,24 @@ class TatePolynomial:
         """
         if not d:
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = dict(self._coeffs)
-        quot: dict[int, int] = {}
-        d_lo = min(d._coeffs)
-        d_lo_c = d._coeffs[d_lo]
+        p, dc = self._coeffs, d._coeffs
+        if _dense(p) and _dense(dc):
+            # no coefficient of an exact quotient or divisor exceeds top
+            top = max(p.values())
+            if min(p) < min(dc) or max(dc.values()) > top:
+                raise NotDivisibleError(f"{self} is not divisible by {d}")
+            w = (top.bit_length() + 7) // 8
+            (p_lo, x), (d_lo, y) = _pack(p, w), _pack(dc, w)
+            n, r = divmod(x, y)
+            quot = _unpack(n, w, p_lo - d_lo)
+            # an integer quotient need not be one in N[L]: multiply back
+            if r or _packed_product(quot, dc) != p:
+                raise NotDivisibleError(f"{self} is not divisible by {d}")
+            return TatePolynomial(quot)
+        rem = dict(p)
+        quot = {}
+        d_lo = min(dc)
+        d_lo_c = dc[d_lo]
         # a write to a degree the dividend lacks goes negative and raises, so
         # the dividend's own degrees, in increasing order, are every lowest term
         for r_lo in sorted(rem):
@@ -138,7 +181,7 @@ class TatePolynomial:
                 raise NotDivisibleError(f"{self} is not divisible by {d}")
             shift = r_lo - d_lo
             quot[shift] = c
-            for k, a in d._coeffs.items():
+            for k, a in dc.items():
                 nv = rem.get(k + shift, 0) - a * c
                 if nv < 0:
                     raise NotDivisibleError(f"{self} is not divisible by {d}")

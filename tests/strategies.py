@@ -17,6 +17,44 @@ def nonzero_tate_polys(**kw):
     return tate_polys(**kw)
 
 
+# coefficients at the edges of one and of eight packed bytes
+EDGE_COEFFS = (255, 256, 2**64 - 1, 2**64)
+
+
+def dense_tate_polys():
+    """Polynomials dense enough for tatepoly's packed path: 16 to 40 terms,
+    at most two zero coefficients between neighbours (so they span fewer than
+    4 degrees per term), starting at L^0, L^1, L^7 or L^(10^12)."""
+
+    def build(lo, terms):
+        out, k = {}, lo
+        for gap, a in terms:
+            out[k + gap] = a
+            k += gap + 1
+        return TatePolynomial(out)
+
+    coeff = st.one_of(st.integers(1, 9), st.sampled_from(EDGE_COEFFS))
+    terms = st.lists(st.tuples(st.integers(0, 2), coeff), min_size=16, max_size=40)
+    return st.builds(build, st.sampled_from((0, 1, 7, 10**12)), terms)
+
+
+def at(p: TatePolynomial, x: int) -> int:
+    """p evaluated at the integer x."""
+    return sum(a * x**k for k, a in p.coeffs.items())
+
+
+def carried(q: TatePolynomial, d: TatePolynomial, width: int = 1) -> TatePolynomial:
+    """The polynomial whose coefficients are the base-2^(8 width) digits of
+    q(B) * d(B), B = 2^(8 width): the product q * d with its carries done.
+    Its value at B is a multiple of d(B) even when it is no multiple of d."""
+    base = 1 << 8 * width
+    n, digits, k = at(q, base) * at(d, base), {}, 0
+    while n:
+        n, digits[k] = divmod(n, base)
+        k += 1
+    return TatePolynomial(digits)
+
+
 ATOM_NAMES = ["P2", "P4", "Q6", "K3", "Gr(2,5)"]
 
 

@@ -10,7 +10,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import motivecalc
+from motivecalc import ladder
 from motivecalc.cli import main
+
+from strategies import carried
 
 
 def run(capsys, *argv):
@@ -99,6 +102,20 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "1 + L", "P(0) * L^0", "Q(6)")
         assert code == 1
         assert "NotDivisible" in out or "NotASummand" in out
+
+    # dense twists: div_exact packs them into ints, and these two are
+    # refused before or after the packed division
+    @pytest.mark.parametrize(
+        "m1,twist",
+        [
+            (ladder(0, 19), carried(200 * ladder(0, 19), ladder(0, 19))),
+            (70000 * ladder(0, 20), ladder(0, 40)),
+        ],
+    )
+    def test_packed_refusal_exit_1(self, capsys, m1, twist):
+        code, out, err = run(capsys, "solve", str(m1), "P(0)", f"K3 * ({twist}) + P(0)")
+        assert (code, err) == (1, "")
+        assert out == f"solve failed: NotDivisibleError: {twist} is not divisible by {m1}\n"
 
     def test_zero_tensor_factor_exit_2(self, capsys):
         code, out, err = run(capsys, "solve", "0", "P(1)", "P(1)")

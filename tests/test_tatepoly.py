@@ -1,12 +1,22 @@
+from time import perf_counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motivecalc import ONE, ZERO, L, NotDivisibleError, TatePolynomial, ladder
+from motivecalc.tatepoly import _dense
 
 from motivecalc.dsl import Parser
 
-from strategies import nonzero_tate_polys, tate_polys
+from strategies import (
+    EDGE_COEFFS,
+    at,
+    carried,
+    dense_tate_polys,
+    nonzero_tate_polys,
+    tate_polys,
+)
 
 
 P = Parser().parse_polynomial
@@ -123,6 +133,118 @@ class TestDivisionMatchesReference:
         far = L**10**12
         assert (ONE + far).div_exact(ONE) == ONE + far
         assert (far * (ONE + L)).div_exact(ONE + L) == far
+
+
+def mul_reference(a: TatePolynomial, b: TatePolynomial) -> TatePolynomial:
+    """Schoolbook product over every pair of terms."""
+    out = {}
+    for k1, a1 in a.coeffs.items():
+        for k2, a2 in b.coeffs.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + a1 * a2
+    return TatePolynomial(out)
+
+
+# dense operands multiply and divide as packed ints; these compare that path
+# with the schoolbook references above
+DENSE = dense_tate_polys()
+# sparse side: at most 6 terms, so the dict loops run; includes constants
+SPARSE = tate_polys(max_coeff=2**64)
+PACKED = settings(max_examples=60, deadline=None)
+
+
+class TestPackedPath:
+    @PACKED
+    @given(DENSE)
+    def test_strategy_reaches_the_packed_path(self, p):
+        assert _dense(p.coeffs)
+
+    @PACKED
+    @given(DENSE, DENSE)
+    def test_dense_product(self, p, q):
+        assert p * q == mul_reference(p, q)
+
+    @PACKED
+    @given(DENSE, SPARSE)
+    def test_dense_times_sparse(self, p, s):
+        assert p * s == s * p == mul_reference(p, s)
+
+    @pytest.mark.parametrize("c", (1, 3, *EDGE_COEFFS))
+    @pytest.mark.parametrize("lo", (0, 10**12))
+    def test_constant_coefficients(self, c, lo):
+        p, q = c * L**lo * ladder(0, 30), c * ladder(5, 24)
+        assert p * q == mul_reference(p, q)
+        assert (p * q).div_exact(q) == p
+
+    @PACKED
+    @given(DENSE, DENSE, tate_polys(max_exp=60, max_coeff=3, max_size=3))
+    def test_dense_quotient_or_refusal(self, p, d, extra):
+        num = p * d + extra
+        assert outcome(TatePolynomial.div_exact, num, d) == outcome(div_exact_reference, num, d)
+
+    @PACKED
+    @given(DENSE, DENSE)
+    def test_dense_by_dense_either_way(self, p, d):
+        # mostly refused: p is rarely a multiple of d, and the packed
+        # remainder, the width checks and the multiply-back all decide it
+        assert outcome(TatePolynomial.div_exact, p, d) == outcome(div_exact_reference, p, d)
+
+    @PACKED
+    @given(DENSE, nonzero_tate_polys(max_coeff=2**64))
+    def test_dense_by_sparse(self, p, s):
+        assert (p * s).div_exact(s) == p
+        assert (s * p).div_exact(p) == s
+
+
+class TestPackedRefusals:
+    def test_integer_multiple_that_is_no_product(self):
+        # 200 * (1 + ... + L^19) times (1 + ... + L^19), its carries done at
+        # one byte: the packed dividend is a multiple of the packed divisor,
+        # and the quotient 200 + 200L + ... unpacks, but it multiplies back
+        # to coefficients above 255
+        d = ladder(0, 19)
+        p = carried(200 * d, d)
+        assert max(p.coeffs.values()) < 256 and at(p, 256) % at(d, 256) == 0
+        assert _dense(p.coeffs) and _dense(d.coeffs)
+        assert outcome(TatePolynomial.div_exact, p, d) == f"{p} is not divisible by {d}"
+        assert outcome(div_exact_reference, p, d) == f"{p} is not divisible by {d}"
+
+    def test_three_term_integer_multiple(self):
+        p, d = P("200 + 144L + 201L^2"), P("1 + L")
+        assert p == carried(P("200 + 200L"), d) and at(p, 256) % at(d, 256) == 0
+        with pytest.raises(NotDivisibleError):
+            p.div_exact(d)
+
+    def test_divisor_coefficient_above_the_dividend_width(self):
+        p, d = ladder(0, 40), 70000 * ladder(0, 20)
+        with pytest.raises(NotDivisibleError) as exc:
+            p.div_exact(d)
+        assert str(exc.value) == f"{p} is not divisible by {d}"
+
+    def test_dividend_below_the_divisor(self):
+        # packed from their own lowest degrees, the ints divide exactly:
+        # only the degrees tell that the quotient would need L^-1
+        p, d = ladder(0, 39), ladder(1, 20)
+        assert at(p, 256) % at(ladder(0, 19), 256) == 0
+        with pytest.raises(NotDivisibleError) as exc:
+            p.div_exact(d)
+        assert str(exc.value) == f"{p} is not divisible by {d}"
+
+
+class TestWorkBounds:
+    def test_dense_product_over_the_pair_cap(self):
+        with pytest.raises(ValueError) as exc:
+            ladder(0, 1000) * ladder(0, 1001)
+        assert str(exc.value) == "twist product of 1003002 term pairs exceeds 1002001"
+
+    def test_far_monomial_is_one_term(self):
+        assert (L**10**12).coeffs == {10**12: 1}
+
+    def test_far_dense_block_divides_at_once(self):
+        far, start = L**10**12, perf_counter()
+        with pytest.raises(NotDivisibleError):
+            (far * ladder(0, 40)).div_exact(ladder(0, 20))
+        assert (far * ladder(0, 41)).div_exact(ladder(0, 20)) == far * (ONE + L**21)
+        assert perf_counter() - start < 1
 
 
 class TestEvalAtOne:
