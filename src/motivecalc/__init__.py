@@ -48,7 +48,6 @@ from .gm import (
     GMScenario,
     ScenarioError,
     Derivation,
-    TorsionCertificate,
     build_lhs,
     build_rhs,
     full_report,

@@ -74,7 +74,7 @@ def _read_expr_arg(arg: str) -> str:
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
-        payload = {"schema": SCHEMA, **payload}
+        payload = {"schema": SCHEMA, "command": args.command, **payload}
         print(json.dumps(payload, sort_keys=True))
     elif text:
         print(text)
@@ -114,26 +114,22 @@ def _cmd_expr(args, atlas: Atlas) -> int:
     expr = parser.parse(_read_expr_arg(args.expr))
     if args.command == "dim":
         d = dim_of(expr, atlas.registry)
-        _emit(args, {"command": "dim", "dim": d}, str(d))
+        _emit(args, {"dim": d}, str(d))
         return 0
     nf = normalize(expr)
     if args.command == "normalize":
-        _emit(args, {"command": "normalize", "normal_form": nf.to_dict()}, str(nf))
+        _emit(args, {"normal_form": nf.to_dict()}, str(nf))
         return 0
     diamond = realize_hodge(nf, atlas.diamond_table())
     if args.command == "hodge":
-        _emit(
-            args,
-            {"command": "hodge", "hodge": diamond.to_json_dict()},
-            diamond.pretty(),
-        )
+        _emit(args, {"hodge": diamond.to_json_dict()}, diamond.pretty())
         return 0
     if args.command == "betti":
         b = list(diamond.betti())
-        _emit(args, {"command": "betti", "betti": b}, " ".join(map(str, b)))
+        _emit(args, {"betti": b}, " ".join(map(str, b)))
         return 0
     if args.command == "euler":
-        _emit(args, {"command": "euler", "euler": diamond.euler()}, str(diamond.euler()))
+        _emit(args, {"euler": diamond.euler()}, str(diamond.euler()))
         return 0
     raise AssertionError(args.command)
 
@@ -148,20 +144,12 @@ def _cmd_solve(args, atlas: Atlas) -> int:
     except (NotDivisibleError, NotASummandError) as exc:
         _emit(
             args,
-            {"command": "solve", "ok": False, "error": type(exc).__name__, "detail": str(exc)},
+            {"ok": False, "error": type(exc).__name__, "detail": str(exc)},
             f"solve failed: {type(exc).__name__}: {exc}",
         )
         return 1
-    _emit(
-        args,
-        {
-            "command": "solve",
-            "ok": True,
-            "solved": solved.normal_form.to_dict(),
-            "note": solved.note,
-        },
-        str(solved.normal_form),
-    )
+    payload = {"ok": True, "solved": solved.normal_form.to_dict(), "note": solved.note}
+    _emit(args, payload, str(solved.normal_form))
     return 0
 
 
@@ -169,7 +157,7 @@ def _cmd_verify(args) -> int:
     s = GMScenario()
     if args.json:
         report = full_report(s)
-        print(json.dumps({**report, "command": "verify-gm6"}, sort_keys=True))
+        _emit(args, report, "")
         return 0 if report["identity_ok"] else 1
     derivation = verify_identity(s)
     if not derivation.ok:
@@ -186,12 +174,12 @@ def _cmd_verify(args) -> int:
         print(diamond.pretty())
         print("Betti numbers: " + " ".join(map(str, diamond.betti())))
         print(f"Euler characteristic: {diamond.euler()}")
-        for name, status in sorted(cert.atom_status.items()):
+        for name, status in sorted(cert["atoms"].items()):
             print(f"torsion of {name}: {status}")
     alias = {"B": "Q(6)", "Y": "K3"}
     terms = [(alias.get(n, n), nf.coefficient(n)) for n in nf.atoms()]
     solution = " + ".join(a if p == ONE else f"{a}*{print_twist(p)}" for a, p in terms)
-    print(f"identity: OK; M(X) = {solution}; torsion: {cert.conclusion.upper()}")
+    print(f"identity: OK; M(X) = {solution}; torsion: {cert['conclusion'].upper()}")
     return 0
 
 
@@ -202,7 +190,7 @@ def main(argv=None) -> int:
     for name in ("Hilb2QY", "X"):
         atlas.registry.register(MotiveAtom(name, SCENARIO_DIMS[name]))
     try:
-        if getattr(args, "atlas", None):
+        if args.atlas:
             _load_extra_atlas(atlas, args.atlas)
         if args.command in ("normalize", "hodge", "betti", "euler", "dim"):
             return _cmd_expr(args, atlas)

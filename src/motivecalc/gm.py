@@ -21,7 +21,7 @@ from .motive import (
     normalize,
     solve_tensor_factor,
 )
-from .hodge import FREE, UNKNOWN, HodgeDiamond, atom_torsion, realize_hodge
+from .hodge import HodgeDiamond, realize_hodge
 from . import atlas
 from .formulas import DimensionMismatchError, InvalidRankError
 from .formulas import blow_up, codim_rank_leq, projective_fibration
@@ -29,6 +29,13 @@ from .formulas import blow_up, codim_rank_leq, projective_fibration
 
 class ScenarioError(ValueError):
     """Declared facts are mutually inconsistent."""
+
+
+# torsion status of an atom or of X: only ever "free" or "unknown", since the
+# propagation rules (direct sums, Tate twists, summands, Lefschetz + universal
+# coefficients) never need more
+FREE = "free"
+UNKNOWN = "unknown"
 
 
 # dimensions of the atoms of the sixfold construction, the unknown X included
@@ -69,17 +76,16 @@ class GMScenario:
 
     @property
     def ambient_dim(self) -> int:
-        return 6 + self.pv5_dim
+        return SCENARIO_DIMS["B"] + self.pv5_dim
 
-    def validate(self) -> list[str]:
+    def validate(self) -> None:
         """Check declared codimensions against the expected-codimension
-        formula and the dimension bookkeeping; returns the passed checks."""
-        checks = []
+        formula and the dimension bookkeeping; raise ScenarioError at the
+        first check that fails."""
 
         def expect(cond: bool, text: str):
             if not cond:
                 raise ScenarioError(f"scenario check failed: {text}")
-            checks.append(text)
 
         e, f = self.rank_e, self.rank_f
         expect(
@@ -96,10 +102,9 @@ class GMScenario:
             f"corank-3 codim {c3} > ambient dim {self.ambient_dim}: locus empty",
         )
         expect(
-            self.ambient_dim - self.codim_d2 == 3 + self.d2_fiber,
+            self.ambient_dim - self.codim_d2 == SCENARIO_DIMS["Hilb2QY"] + self.d2_fiber,
             "corank-2 locus dimension matches its fibration over the divisor",
         )
-        return checks
 
 
 def build_d2(s: GMScenario):
@@ -167,17 +172,19 @@ class Derivation:
         m2 = NormalForm({n: p for n, p in lhs.terms.items() if n != "X"})
         return solve_tensor_factor("X", lhs.coefficient("X"), m2, rhs)
 
-    def torsion(self) -> TorsionCertificate:
+    def torsion(self) -> dict:
         """Machine-checkable chain: X is a unit-coefficient summand of a sum
         whose atoms all have torsion-free integral cohomology, hence its own
-        integral cohomology is torsion-free."""
+        integral cohomology is torsion-free.  Each atom is FREE iff its flag
+        says torsion-free, else UNKNOWN."""
         lhs, rhs = self.sides()
         unit = lhs.coefficient("X").coefficient(0) >= 1
-        status = atom_torsion(rhs, torsion_flags())
-        conclusion = FREE if unit and UNKNOWN not in status.values() else UNKNOWN
-        return TorsionCertificate(unit, status, conclusion)
+        flags = torsion_flags()
+        atoms = {name: FREE if flags[name] else UNKNOWN for name in rhs.atoms()}
+        conclusion = FREE if unit and UNKNOWN not in atoms.values() else UNKNOWN
+        return {"unit_embedding": unit, "atoms": atoms, "conclusion": conclusion}
 
-    def answer(self) -> tuple[Solved, HodgeDiamond, TorsionCertificate]:
+    def answer(self) -> tuple[Solved, HodgeDiamond, dict]:
         """The solved M(X), its Hodge diamond and its torsion certificate."""
         solved = self.solve()
         diamond = realize_hodge(solved.normal_form, realization_table())
@@ -232,14 +239,7 @@ def torsion_flags() -> dict[str, bool]:
     }
 
 
-@dataclass(frozen=True)
-class TorsionCertificate:
-    unit_embedding: bool
-    atom_status: dict[str, str]
-    conclusion: str
-
-
-def torsion_report(s: GMScenario) -> TorsionCertificate:
+def torsion_report(s: GMScenario) -> dict:
     """The torsion certificate of X; see Derivation.torsion."""
     return verify_identity(s).torsion()
 
@@ -253,11 +253,7 @@ def full_report(s: GMScenario) -> dict:
     """Everything the CLI prints: normal forms, the solved answer, its Hodge
     diamond, Betti numbers, Euler characteristic, and the torsion chain."""
     verify = verify_identity(s)
-    out: dict = {
-        "schema": "motive-calc/1",
-        "identity_ok": verify.ok,
-        "message": verify.message,
-    }
+    out: dict = {"identity_ok": verify.ok, "message": verify.message}
     if verify.lhs is not None:
         out["lhs"] = verify.lhs.to_dict()
         out["rhs"] = verify.rhs.to_dict()
@@ -271,11 +267,7 @@ def full_report(s: GMScenario) -> dict:
             "hodge": diamond.to_json_dict(),
             "betti": list(diamond.betti()),
             "euler": diamond.euler(),
-            "torsion": {
-                "unit_embedding": cert.unit_embedding,
-                "atoms": cert.atom_status,
-                "conclusion": cert.conclusion,
-            },
+            "torsion": cert,
         }
     )
     return out

@@ -1,9 +1,7 @@
-"""Realizations: Hodge diamonds and torsion bookkeeping.
+"""Realizations: Hodge diamonds.
 
-A HodgeDiamond is the exact table h^{p,q}.  Torsion is one flag per atom,
-read off its atlas entry, and is only ever "free" or "unknown": the
-propagation rules (direct sums, Tate twists, summands, Lefschetz + universal
-coefficients) never need more.
+A HodgeDiamond is the exact table h^{p,q}; realize_hodge maps a normal form
+to one, additively over atoms.
 """
 
 from __future__ import annotations
@@ -12,10 +10,6 @@ from collections.abc import Mapping
 
 from .tatepoly import MAX_DIM
 from .motive import NormalForm
-
-FREE = "free"
-UNKNOWN = "unknown"
-
 
 class MissingRealizationError(KeyError):
     """A normal-form atom has no entry in the realization table."""
@@ -123,14 +117,3 @@ def realize_hodge(
                 key = (p + k, q + k)
                 h[key] = h.get(key, 0) + a * v
     return HodgeDiamond(n, h)
-
-
-def atom_torsion(nf: NormalForm, flags: Mapping[str, bool]) -> dict[str, str]:
-    """Torsion status of each atom occurring in the normal form: FREE iff its
-    flag says torsion-free, else UNKNOWN."""
-    status = {}
-    for name in nf.atoms():
-        if name not in flags:
-            raise MissingRealizationError(f"no torsion flag for atom {name!r}")
-        status[name] = FREE if flags[name] else UNKNOWN
-    return status

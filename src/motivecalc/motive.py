@@ -232,7 +232,7 @@ class Solved:
     """Result of solve_tensor_factor, with the modeling caveat attached."""
 
     normal_form: NormalForm
-    note: str = CANCELLATION_NOTE
+    note = CANCELLATION_NOTE  # a class constant, not a field
 
 
 def solve_tensor_factor(

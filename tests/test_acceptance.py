@@ -33,6 +33,7 @@ from motivecalc import (
 from motivecalc.dsl import Parser
 from motivecalc.formulas import projective_fibration
 from motivecalc.gm import (
+    FREE,
     REGISTRY,
     GMScenario,
     ScenarioError,
@@ -47,7 +48,7 @@ from motivecalc.gm import (
     torsion_report,
     verify_identity,
 )
-from motivecalc.hodge import FREE, HodgeDiamond
+from motivecalc.hodge import HodgeDiamond
 from motivecalc.atlas import AtlasEntry
 
 from strategies import motive_exprs, nonzero_tate_polys, session_atlas, tate_polys
@@ -110,9 +111,9 @@ def test_criterion_4_derived_numerics():
 def test_criterion_5_torsion_certificate():
     s = GMScenario()
     cert = torsion_report(s)
-    assert cert.conclusion == FREE
-    assert cert.unit_embedding
-    assert set(cert.atom_status.values()) == {FREE}
+    assert cert["conclusion"] == FREE
+    assert cert["unit_embedding"]
+    assert set(cert["atoms"].values()) == {FREE}
     assert torsion_flags() == {"B": True, "Y": True, "Hilb2QY": True}
     ok(5, "torsion certificate")
 
@@ -123,7 +124,7 @@ def test_criterion_6_codimension_gates():
     assert codim_rank_leq(3, 4, 0) == 12  # corank 3
     s = GMScenario()
     assert codim_rank_leq(3, 4, 0) > s.ambient_dim == 10
-    assert s.validate()
+    s.validate()
     ok(6, "codimension gates")
 
 
@@ -267,3 +268,18 @@ def test_criterion_9_negative_controls():
             "X", ladder(0, 1), NormalForm(), NormalForm({"A": P("1 + L^2")})
         )
     ok(9, "negative controls")
+
+
+def test_every_built_rhs_has_a_torsion_flag_per_atom():
+    # Derivation.torsion reads torsion_flags()[name] for each atom of the rhs
+    s = GMScenario()
+    sweep = [s, perturbed(s, px_fiber=2, ux_fiber=2)]
+    sweep += [
+        perturbed(s, **{name: getattr(s, name) + step})
+        for name in REJECTING_GATE
+        for step in (-1, 1)
+    ]
+    built = [d for d in map(verify_identity, sweep) if d.rhs is not None]
+    assert len(built) >= 2
+    for d in built:
+        assert set(d.rhs.atoms()) <= set(torsion_flags())

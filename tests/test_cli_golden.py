@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from motivecalc.cli import main
+from motivecalc.cli import SCHEMA, main
+from motivecalc.gm import GMScenario, full_report
 
 GOLDEN = json.loads((Path(__file__).with_name("golden_cli.json")).read_text())
 
@@ -29,6 +30,26 @@ def test_golden_output(capsys, monkeypatch, name):
     case = GOLDEN[name]
     code, out, err = run(capsys, monkeypatch, case["argv"], case.get("stdin", ""))
     assert (code, out, err) == (case["code"], case["stdout"], "")
+
+
+# atlas-dump writes its own JSON, with no "command" key
+ENVELOPED = sorted(
+    name
+    for name, case in GOLDEN.items()
+    if "--json" in case["argv"] and case["argv"][0] != "atlas-dump"
+)
+
+
+@pytest.mark.parametrize("name", ENVELOPED)
+def test_json_envelope(name):
+    case = GOLDEN[name]
+    data = json.loads(case["stdout"])
+    assert data["command"] == case["argv"][0]
+    assert data["schema"] == SCHEMA
+
+
+def test_full_report_leaves_the_envelope_to_the_cli():
+    assert "schema" not in full_report(GMScenario())
 
 
 INPUT_ERRORS = {

@@ -13,6 +13,8 @@ from motivecalc import (
 import motivecalc.atlas as atlas
 import motivecalc.gm as gm
 from motivecalc.gm import (
+    FREE,
+    UNKNOWN,
     GMScenario,
     ScenarioError,
     build_d1_prime,
@@ -30,7 +32,6 @@ from motivecalc.gm import (
 )
 from motivecalc.dsl import Parser
 from motivecalc.formulas import projective_fibration
-from motivecalc.hodge import FREE, UNKNOWN
 from motivecalc.motive import Atom
 
 P = Parser().parse_polynomial
@@ -176,9 +177,14 @@ class TestSolve:
 class TestTorsion:
     def test_canonical_certificate(self, scenario):
         cert = torsion_report(scenario)
-        assert cert.conclusion == FREE
-        assert cert.unit_embedding
-        assert cert.atom_status == {"B": FREE, "Y": FREE, "Hilb2QY": FREE}
+        assert cert["conclusion"] == FREE
+        assert cert["unit_embedding"]
+        assert cert["atoms"] == {"B": FREE, "Y": FREE, "Hilb2QY": FREE}
+
+    def test_report_prints_the_certificate_unchanged(self, scenario):
+        cert = torsion_report(scenario)
+        assert set(cert) == {"unit_embedding", "atoms", "conclusion"}
+        assert cert == full_report(scenario)["torsion"]
 
     def test_hilb_profile_shape(self, scenario):
         assert torsion_flags() == {"B": True, "Y": True, "Hilb2QY": True}
@@ -190,8 +196,8 @@ class TestTorsion:
             atlas, "hilb2_surface", lambda *args: replace(build(*args), torsion_free=False)
         )
         cert = torsion_report(GMScenario())
-        assert cert.atom_status == {"B": FREE, "Y": FREE, "Hilb2QY": UNKNOWN}
-        assert cert.conclusion == UNKNOWN
+        assert cert["atoms"] == {"B": FREE, "Y": FREE, "Hilb2QY": UNKNOWN}
+        assert cert["conclusion"] == UNKNOWN
 
     def test_untrusted_k3_propagates(self, monkeypatch):
         assert untrusted_atoms(monkeypatch, "k3") == {"Y", "Hilb2QY"}
@@ -240,8 +246,7 @@ def test_derivations_leave_the_registry_alone():
 
 class TestScenarioValidation:
     def test_canonical_passes(self, scenario):
-        checks = scenario.validate()
-        assert len(checks) == 4
+        scenario.validate()
 
     def test_corank_codims(self, scenario):
         from motivecalc import codim_rank_leq
@@ -262,7 +267,6 @@ def test_full_report_structure():
     assert report["betti"] == [1, 0, 1, 0, 2, 0, 24, 0, 2, 0, 1, 0, 1]
     assert report["euler"] == 32
     assert report["torsion"]["conclusion"] == FREE
-    assert report["schema"] == "motive-calc/1"
 
 
 def test_full_report_failure_path():

@@ -16,7 +16,6 @@ from motivecalc import (
     realize_hodge,
 )
 from motivecalc.dsl import Parser
-from motivecalc.hodge import FREE, UNKNOWN, atom_torsion
 from motivecalc.tatepoly import ONE, L
 
 P = Parser().parse_polynomial
@@ -139,26 +138,6 @@ class TestCheckSymmetries:
     @given(diamonds())
     def test_matches_full_grid(self, d):
         assert check_symmetries(d) == full_grid_symmetric(d)
-
-
-class TestTorsionStatus:
-    def make_table(self, hilb_free=True):
-        return {"B": True, "Y": True, "Hilb": hilb_free}
-
-    def test_all_free(self):
-        nf = NormalForm({"B": ONE, "Y": P("L^2"), "Hilb": P("L")})
-        assert atom_torsion(nf, self.make_table()) == {"B": FREE, "Y": FREE, "Hilb": FREE}
-
-    def test_empty_is_free(self):
-        assert atom_torsion(NormalForm(), {}) == {}
-
-    def test_unknown_atom_propagates(self):
-        nf = NormalForm({"Hilb": ONE})
-        assert atom_torsion(nf, self.make_table(hilb_free=False)) == {"Hilb": UNKNOWN}
-
-    def test_missing_profile(self):
-        with pytest.raises(MissingRealizationError, match="no torsion flag for atom 'B'"):
-            atom_torsion(NormalForm({"B": ONE}), {})
 
 
 class TestBettiPolynomial:
