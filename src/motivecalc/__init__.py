@@ -46,6 +46,7 @@ from .formulas import (
 )
 from .gm import (
     GMScenario,
+    IdentityError,
     ScenarioError,
     Derivation,
     build_lhs,
@@ -56,6 +57,6 @@ from .gm import (
     torsion_report,
     verify_identity,
 )
-from .dsl import ArityError, DslError, DslSyntaxError, Parser, UnknownIdentifierError, print_expr
+from .dsl import ArityError, DslError, DslSyntaxError, Parser, UnknownIdentifierError
 
 __version__ = "0.1.0"

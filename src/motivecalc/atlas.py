@@ -111,20 +111,15 @@ def hilb2_surface(s: AtlasEntry) -> AtlasEntry:
 
     pieces = d.entries()
     h: dict[tuple[int, int], int] = {}
-
-    def bump(p, q, v):
-        if v:
-            h[(p, q)] = h.get((p, q), 0) + v
-
     # symmetric square (all classes sit in even degree, so no signs)
     for i, (p1, q1, v1) in enumerate(pieces):
         for j in range(i, len(pieces)):
             p2, q2, v2 = pieces[j]
-            c = v1 * (v1 + 1) // 2 if i == j else v1 * v2
-            bump(p1 + p2, q1 + q2, c)
+            key = (p1 + p2, q1 + q2)
+            h[key] = h.get(key, 0) + (v1 * (v1 + 1) // 2 if i == j else v1 * v2)
     # exceptional summand: the surface twisted by L
     for p, q, v in pieces:
-        bump(p + 1, q + 1, v)
+        h[(p + 1, q + 1)] = h.get((p + 1, q + 1), 0) + v
 
     return AtlasEntry(
         name=f"Hilb2{s.name}",

@@ -282,29 +282,3 @@ def print_twist(poly: TatePolynomial) -> str:
         k = items[0][0]
         return "L" if k == 1 else f"L^{k}"
     return f"({poly})"
-
-
-def print_expr(e: MotiveExpr) -> str:
-    """Render a tree back to DSL source; reparsing yields an expression with
-    the same normal form."""
-    out: list[str] = []
-    stack: list[MotiveExpr | str] = [e]  # nodes and literal text; leftmost on top
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            out.append(node)
-        elif isinstance(node, Atom):
-            out.append(node.name)
-        elif isinstance(node, Sum):
-            for c in reversed(node.children[1:]):
-                stack += (c, " + ")
-            stack.append(node.children[0])
-        elif isinstance(node, TensorTwist):
-            twist = f" * {print_twist(node.twist)}"
-            if isinstance(node.child, Sum):
-                stack += (")" + twist, node.child, "(")
-            else:
-                stack += (twist, node.child)
-        else:
-            raise TypeError(f"not a MotiveExpr: {node!r}")
-    return "".join(out)

@@ -64,19 +64,10 @@ def kunneth(a: MotiveExpr, b: MotiveExpr, atlas: Atlas) -> MotiveExpr:
     (projective space, quadric, Grassmannian): the cellular factor
     contributes its Poincare polynomial as a twist."""
 
-    def cells_of(e: MotiveExpr):
-        if isinstance(e, Atom):
-            entry = atlas.get(e.name)
-            if entry is not None and entry.cells is not None:
-                return entry.cells
-        return None
-
-    cb = cells_of(b)
-    if cb is not None:
-        return TensorTwist(a, cb)
-    ca = cells_of(a)
-    if ca is not None:
-        return TensorTwist(b, ca)
+    for cellular, other in ((b, a), (a, b)):
+        entry = atlas.get(cellular.name) if isinstance(cellular, Atom) else None
+        if entry is not None and entry.cells is not None:
+            return TensorTwist(other, entry.cells)
     raise NonCellularFactorError(
         "product needs at least one cellular atlas factor"
     )

@@ -31,6 +31,10 @@ class ScenarioError(ValueError):
     """Declared facts are mutually inconsistent."""
 
 
+class IdentityError(ArithmeticError):
+    """The two sides of the identity have different normal forms."""
+
+
 # torsion status of an atom or of X: only ever "free" or "unknown", since the
 # propagation rules (direct sums, Tate twists, summands, Lefschetz + universal
 # coefficients) never need more
@@ -160,9 +164,9 @@ class Derivation:
     error: Exception | None = None
 
     def sides(self) -> tuple[NormalForm, NormalForm]:
-        """The normalized lhs and rhs; re-raises a construction failure."""
-        if self.error is not None:
-            raise self.error
+        """The normalized lhs and rhs if the identity holds; else raises its failure."""
+        if not self.ok:
+            raise self.error or IdentityError(self.message)
         return self.lhs, self.rhs
 
     def solve(self) -> Solved:

@@ -25,10 +25,14 @@ class HodgeDiamond:
     __slots__ = ("n", "_h")
 
     def __init__(self, n: int, h: Mapping[tuple[int, int], int]):
+        if type(n) is not int:
+            raise TypeError(f"dimension {n!r} is not an int")
         if n < 0:
             raise ValueError("dimension must be nonnegative")
         clean = {}
         for (p, q), v in h.items():
+            if not type(p) is type(q) is type(v) is int:
+                raise TypeError(f"entry ({p!r},{q!r}) = {v!r} is not an int triple")
             if not (0 <= p <= n and 0 <= q <= n):
                 raise ValueError(f"entry ({p},{q}) outside [0,{n}]^2")
             if v < 0:
@@ -99,14 +103,11 @@ def realize_hodge(
     """Hodge realization of a normal form: additive over atoms, with L^k
     shifting both indices by k.  Ambient dimension is the top weight
     max(dim(atom) + deg(coefficient)), at most MAX_DIM."""
-    if nf.is_zero():
-        return HodgeDiamond(0, {})
-    dims = []
+    n = 0  # the top weight of the zero form, realized as HodgeDiamond(0, {})
     for name in nf.atoms():
         if name not in table:
             raise MissingRealizationError(f"no Hodge realization for atom {name!r}")
-        dims.append(table[name].n + nf.coefficient(name).degree)
-    n = max(dims)
+        n = max(n, table[name].n + nf.coefficient(name).degree)
     if n > MAX_DIM:
         raise ValueError(f"top weight {n} exceeds the Hodge realization cap {MAX_DIM}")
     h: dict[tuple[int, int], int] = {}

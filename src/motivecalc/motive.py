@@ -38,6 +38,8 @@ class AtomRegistry:
 
     def register(self, atom: MotiveAtom) -> None:
         name, dim = atom.name, atom.dim
+        if type(dim) is not int:
+            raise TypeError(f"dim of {name!r} is not an int: {dim!r}")
         if dim < 0:
             raise ValueError("dim must be nonnegative")
         have = self._dims.setdefault(name, dim)
@@ -118,9 +120,6 @@ class NormalForm:
     def coefficient(self, name: str) -> TatePolynomial:
         return self._terms.get(name, ZERO)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __eq__(self, other) -> bool:
         if isinstance(other, NormalForm):
             return self._terms == other._terms
@@ -142,23 +141,12 @@ class NormalForm:
         """Remove a direct summand; raises NotASummandError on underflow."""
         out = dict(self._terms)
         for name, poly in part._terms.items():
-            have = out.get(name, ZERO)
-            coeffs = have.coeffs
-            for k, a in poly.items():
-                nv = coeffs.get(k, 0) - a
-                if nv < 0:
-                    raise NotASummandError(
-                        f"coefficient of {name} underflows at L^{k}"
-                    )
-                if nv:
-                    coeffs[k] = nv
-                else:
-                    coeffs.pop(k, None)
-            rem = TatePolynomial(coeffs)
-            if rem:
-                out[name] = rem
-            else:
-                out.pop(name, None)
+            have = self.coefficient(name)
+            left = {k: have.coefficient(k) - a for k, a in poly.items()}
+            under = [k for k, a in left.items() if a < 0]
+            if under:
+                raise NotASummandError(f"coefficient of {name} underflows at L^{min(under)}")
+            out[name] = TatePolynomial({**have.coeffs, **left})
         return NormalForm(out)
 
     def substitute(self, name: str, replacement: "NormalForm") -> "NormalForm":

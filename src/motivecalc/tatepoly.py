@@ -60,8 +60,8 @@ class TatePolynomial:
     def __init__(self, coeffs: Mapping[int, int]):
         clean: dict[int, int] = {}
         for k, a in coeffs.items():
-            k = int(k)
-            a = int(a)
+            if type(k) is not int or type(a) is not int:
+                raise TypeError(f"term {a!r} * L^{k!r} needs an int exponent and coefficient")
             if k < 0:
                 raise ValueError(f"negative exponent {k}")
             if a < 0:

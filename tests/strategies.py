@@ -1,6 +1,7 @@
 import hypothesis.strategies as st
 
-from motivecalc import Atom, Atlas, Sum, TatePolynomial, TensorTwist
+from motivecalc import Atom, Atlas, MotiveExpr, Sum, TatePolynomial, TensorTwist
+from motivecalc.dsl import print_twist
 
 
 def tate_polys(max_exp=8, max_coeff=9, min_size=0, max_size=6):
@@ -80,3 +81,29 @@ def motive_exprs(names=tuple(ATOM_NAMES), max_leaves=12):
         ),
         max_leaves=max_leaves,
     )
+
+
+def print_expr(e: MotiveExpr) -> str:
+    """Render a tree back to DSL source; reparsing yields an expression with
+    the same normal form."""
+    out: list[str] = []
+    stack: list[MotiveExpr | str] = [e]  # nodes and literal text; leftmost on top
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Atom):
+            out.append(node.name)
+        elif isinstance(node, Sum):
+            for c in reversed(node.children[1:]):
+                stack += (c, " + ")
+            stack.append(node.children[0])
+        elif isinstance(node, TensorTwist):
+            twist = f" * {print_twist(node.twist)}"
+            if isinstance(node.child, Sum):
+                stack += (")" + twist, node.child, "(")
+            else:
+                stack += (twist, node.child)
+        else:
+            raise TypeError(f"not a MotiveExpr: {node!r}")
+    return "".join(out)

@@ -25,7 +25,6 @@ from motivecalc import (
     k3,
     ladder,
     normalize,
-    print_expr,
     projective_bundle,
     realize_hodge,
     solve_tensor_factor,
@@ -51,7 +50,13 @@ from motivecalc.gm import (
 from motivecalc.hodge import HodgeDiamond
 from motivecalc.atlas import AtlasEntry
 
-from strategies import motive_exprs, nonzero_tate_polys, session_atlas, tate_polys
+from strategies import (
+    motive_exprs,
+    nonzero_tate_polys,
+    print_expr,
+    session_atlas,
+    tate_polys,
+)
 
 P = Parser().parse_polynomial
 

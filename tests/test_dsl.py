@@ -12,7 +12,6 @@ from motivecalc import (
     TensorTwist,
     ladder,
     normalize,
-    print_expr,
 )
 from motivecalc.dsl import (
     MAX_DEPTH,
@@ -25,7 +24,7 @@ from motivecalc.dsl import (
 )
 from motivecalc.formulas import DimensionMismatchError
 
-from strategies import motive_exprs, session_atlas
+from strategies import motive_exprs, print_expr, session_atlas
 
 P = Parser().parse_polynomial
 

@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 import pytest
 
 from motivecalc import (
+    IdentityError,
     NormalForm,
     blow_up,
     ladder,
@@ -291,3 +292,36 @@ def test_full_report_derives_once(monkeypatch):
     assert full_report(GMScenario())["identity_ok"]
     assert calls["build_lhs"] == calls["build_rhs"] == 1
     assert calls["validate"] <= 1
+
+
+class TestFailedIdentity:
+    """Only a verified derivation answers: the pair below builds both sides
+    but fails the comparison, so nothing is solved or certified from it."""
+
+    SCENARIO = perturbed(GMScenario(), px_fiber=2, ux_fiber=2)
+
+    @pytest.mark.parametrize(
+        "call",
+        [torsion_report, solve_mx, lambda s: verify_identity(s).answer()],
+        ids=["torsion_report", "solve_mx", "answer"],
+    )
+    def test_raises_identity_error(self, call):
+        with pytest.raises(IdentityError, match="^normal forms differ: "):
+            call(self.SCENARIO)
+
+    def test_report_stops_at_the_comparison(self):
+        d = verify_identity(self.SCENARIO)
+        assert not d.ok and d.error is None
+        assert full_report(self.SCENARIO) == {
+            "identity_ok": False,
+            "message": d.message,
+            "lhs": d.lhs.to_dict(),
+            "rhs": d.rhs.to_dict(),
+        }
+
+    def test_construction_failure_is_reraised(self):
+        s = perturbed(GMScenario(), codim_d1=3)
+        with pytest.raises(ScenarioError):
+            solve_mx(s)
+        with pytest.raises(ScenarioError):
+            torsion_report(s)

@@ -16,7 +16,7 @@ from motivecalc import (
     realize_hodge,
 )
 from motivecalc.dsl import Parser
-from motivecalc.tatepoly import ONE, L
+from motivecalc.tatepoly import ONE, ZERO, L
 
 P = Parser().parse_polynomial
 
@@ -50,6 +50,10 @@ class TestRealizeHodge:
         d = realize_hodge(NormalForm({"K3": P("L")}), {"K3": K3})
         assert d.hodge(2, 2) == 20
         assert d.hodge(3, 1) == d.hodge(1, 3) == 1
+
+    def test_zero_form_is_the_empty_point(self):
+        assert realize_hodge(NormalForm(), {}) == HodgeDiamond(0, {})
+        assert realize_hodge(NormalForm({"B": ZERO}), {}) == HodgeDiamond(0, {})
 
     def test_missing_realization(self):
         with pytest.raises(MissingRealizationError, match="no Hodge realization for atom 'mystery'"):
@@ -220,3 +224,34 @@ def test_twist_preserves_symmetry_and_euler(a, b, k):
         for q in range(t.n + 1):
             assert t.hodge(p, q) == t.hodge(q, p) == t.hodge(c - p, c - q)
     assert t.euler() == d.euler()
+
+
+# exactness: the dimension and every index and Hodge number are ints
+@pytest.mark.parametrize(
+    "n,h",
+    [
+        (2, {(0, 0): 0.5}),
+        (2.0, {}),
+        (True, {}),
+        (2, {(0, 0): True}),
+        (2, {(1.0, 1): 1}),
+        (2, {(1, True): 1}),
+        (2, {(0, 0): 1.0}),
+    ],
+)
+def test_diamond_takes_only_ints(n, h):
+    with pytest.raises(TypeError, match="is not an int"):
+        HodgeDiamond(n, h)
+
+
+@pytest.mark.parametrize(
+    "n,h,message",
+    [
+        (-1, {}, "^dimension must be nonnegative$"),
+        (2, {(3, 0): 1}, r"^entry \(3,0\) outside \[0,2\]\^2$"),
+        (2, {(1, 1): -1}, r"^negative Hodge number at \(1,1\)$"),
+    ],
+)
+def test_diamond_value_errors_unchanged(n, h, message):
+    with pytest.raises(ValueError, match=message):
+        HodgeDiamond(n, h)

@@ -1,3 +1,4 @@
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -95,11 +96,52 @@ class TestSubtractSummand:
         assert rest == NormalForm({"B": M1, "Y": P("L^2") * M1})
 
     def test_self_gives_zero(self):
-        assert RHS_NF.subtract(RHS_NF).is_zero()
+        assert RHS_NF.subtract(RHS_NF) == NormalForm()
 
     def test_underflow(self):
-        with pytest.raises(NotASummandError):
-            NormalForm({"B": ONE}).subtract(NormalForm({"B": ladder(0, 1)}))
+        cases = [
+            ({"B": ONE}, {"B": ladder(0, 1)}, "B", 1),
+            # several degrees underflow: the lowest is named
+            ({"B": P("1 + L^3")}, {"B": P("L + 2L^3")}, "B", 1),
+            # an atom absent from self underflows at its lowest degree
+            ({"A": ONE}, {"A": ONE, "B": P("L^2 + L^5")}, "B", 2),
+        ]
+        for have, part, name, k in cases:
+            with pytest.raises(NotASummandError) as exc:
+                NormalForm(have).subtract(NormalForm(part))
+            assert str(exc.value) == f"coefficient of {name} underflows at L^{k}"
+
+    def test_exact_cancellation_drops_the_atom(self):
+        rest = NormalForm({"A": L, "B": P("1 + 2L")}).subtract(NormalForm({"B": P("1 + 2L")}))
+        assert rest == NormalForm({"A": L})
+
+
+def normal_forms():
+    polys = tate_polys(max_exp=3, max_coeff=3, max_size=3)
+    return st.dictionaries(st.sampled_from("ABC"), polys, max_size=3).map(NormalForm)
+
+
+def first_underflow(a: NormalForm, b: NormalForm):
+    """Reference for subtract's refusal: the first (atom, degree) of b, atoms
+    in b's order and degrees increasing, whose coefficient exceeds a's."""
+    for name, poly in b.terms.items():
+        for k, c in sorted(poly.coeffs.items()):
+            if c > a.coefficient(name).coefficient(k):
+                return name, k
+    return None
+
+
+@settings(max_examples=400)
+@given(normal_forms(), normal_forms())
+def test_subtract_refuses_exactly_on_underflow(a, b):
+    assert (a + b).subtract(b) == a
+    under = first_underflow(a, b)
+    if under is None:
+        assert a.subtract(b) + b == a
+    else:
+        with pytest.raises(NotASummandError) as exc:
+            a.subtract(b)
+        assert str(exc.value) == "coefficient of {} underflows at L^{}".format(*under)
 
 
 class TestSolveTensorFactor:
@@ -202,6 +244,13 @@ def test_registry_rejects_conflicting_reregistration():
         reg.register(MotiveAtom("B", -1))
     with pytest.raises(UnregisteredAtomError):
         reg.dim("C")
+
+
+# exactness: a dimension is an int, never a float or bool truncated to one
+@pytest.mark.parametrize("dim", [2.5, 2.0, True, "2", None])
+def test_registry_takes_only_int_dims(dim):
+    with pytest.raises(TypeError, match="is not an int"):
+        AtomRegistry().register(MotiveAtom("A", dim))
 
 
 class TestDeepTrees:

@@ -304,10 +304,19 @@ class TestSemiringProperties:
 
 
 def test_invariants_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^negative exponent -1$"):
         TatePolynomial({-1: 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^negative coefficient -2 at L\\^0$"):
         TatePolynomial({0: -2})
+
+
+# exactness: a float or bool is refused, never truncated to an int
+@pytest.mark.parametrize(
+    "coeffs", [{1.5: 1}, {0: 2.7}, {True: 1}, {0: True}, {2: 2.0}, {"1": 1}, {-1.0: 1}]
+)
+def test_only_int_exponents_and_coefficients(coeffs):
+    with pytest.raises(TypeError, match="needs an int exponent and coefficient"):
+        TatePolynomial(coeffs)
 
 
 def test_sparse_canonical_form():
