@@ -151,9 +151,6 @@ class Atlas:
     def get(self, name: str) -> AtlasEntry | None:
         return self._entries.get(name)
 
-    def names(self) -> list[str]:
-        return sorted(self._entries)
-
     # builtin constructors, cached under canonical names
 
     def _build(self, constructor, *args) -> AtlasEntry:
@@ -187,7 +184,7 @@ class Atlas:
 
     def dump(self) -> list[dict]:
         out = []
-        for name in self.names():
+        for name in sorted(self._entries):
             e = self._entries[name]
             out.append(
                 {

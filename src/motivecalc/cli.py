@@ -24,10 +24,6 @@ SCHEMA = "motive-calc/1"
 INPUT_ERRORS = (ValueError, KeyError, OSError)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _load_extra_atlas(atlas: Atlas, path: str) -> None:
     with open(path, encoding="utf-8") as fh:
         try:
@@ -46,14 +42,14 @@ def _load_extra_atlas(atlas: Atlas, path: str) -> None:
         name, dim = item.get("name"), item.get("dim")
         if not isinstance(name, str):
             raise bad("name", "a string")
-        if not _is_int(dim) or dim < 0:
+        if type(dim) is not int or dim < 0:
             raise bad("dim", "a nonnegative integer")
         field, h = "h", item.get("h")
         if "diamond" in item:
             diamond = item["diamond"]
             field, h = "diamond.h", diamond.get("h") if isinstance(diamond, dict) else None
         if not isinstance(h, list) or not all(
-            isinstance(t, list) and len(t) == 3 and all(map(_is_int, t)) for t in h
+            isinstance(t, list) and len(t) == 3 and all(type(x) is int for x in t) for t in h
         ):
             raise bad(field, "a list of [p, q, v] integer triples")
         torsion_free = item.get("torsion_free", False)

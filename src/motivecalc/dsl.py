@@ -118,8 +118,8 @@ class Parser:
     """Recursive-descent parser evaluating atlas builtins eagerly, so the
     returned tree only contains registered atoms."""
 
-    def __init__(self, atlas: Atlas | None = None):
-        self.atlas = atlas if atlas is not None else Atlas()
+    def __init__(self, atlas: Atlas):
+        self.atlas = atlas
 
     # -- token plumbing ----------------------------------------------------
 

@@ -11,7 +11,7 @@ against the dimension bookkeeping of the registry, never inferred.
 from __future__ import annotations
 
 from .tatepoly import MAX_DIM, ladder
-from .motive import Atom, AtomRegistry, MotiveExpr, TensorTwist, dim_of
+from .motive import Atom, AtomRegistry, MotiveExpr, Sum, TensorTwist, dim_of
 from .atlas import Atlas
 
 
@@ -56,7 +56,7 @@ def blow_up(
     dc = dim_of(center, registry)
     if dc + codim != da:
         raise DimensionMismatchError(f"center dim {dc} + codim {codim} != ambient dim {da}")
-    return ambient + TensorTwist(center, ladder(1, codim - 1))
+    return Sum((ambient, TensorTwist(center, ladder(1, codim - 1))))
 
 
 def kunneth(a: MotiveExpr, b: MotiveExpr, atlas: Atlas) -> MotiveExpr:

@@ -59,44 +59,32 @@ class AtomRegistry:
 # -- expression trees ------------------------------------------------------
 
 
-class MotiveExpr:
-    """Base class for expression nodes.  ``a + b`` is direct sum, ``a * p``
-    tensors by a TatePolynomial."""
-
-    def __add__(self, other: "MotiveExpr") -> "MotiveExpr":
-        if not isinstance(other, MotiveExpr):
-            return NotImplemented
-        return Sum((self, other))
-
-    def __mul__(self, twist: TatePolynomial) -> "MotiveExpr":
-        if not isinstance(twist, TatePolynomial):
-            return NotImplemented
-        return TensorTwist(self, twist)
-
-
 @dataclass(frozen=True)
-class Atom(MotiveExpr):
+class Atom:
     name: str
 
 
 @dataclass(frozen=True)
-class Sum(MotiveExpr):
+class Sum:
     children: tuple[MotiveExpr, ...]
 
     def __post_init__(self):
         if not self.children:
             raise ValueError("Sum needs at least one child")
-        object.__setattr__(self, "children", tuple(self.children))
 
 
 @dataclass(frozen=True)
-class TensorTwist(MotiveExpr):
+class TensorTwist:
     child: MotiveExpr
     twist: TatePolynomial
 
     def __post_init__(self):
         if not self.twist:
             raise ValueError("tensor twist factor must be nonzero")
+
+
+# an expression node: a named atom, a direct sum, or a tensor by a twist
+MotiveExpr = Atom | Sum | TensorTwist
 
 
 # -- normal forms ----------------------------------------------------------
@@ -124,9 +112,6 @@ class NormalForm:
         if isinstance(other, NormalForm):
             return self._terms == other._terms
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "NormalForm") -> "NormalForm":
         out = dict(self._terms)

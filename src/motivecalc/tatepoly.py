@@ -111,11 +111,7 @@ class TatePolynomial:
             out[k] = out.get(k, 0) + a
         return TatePolynomial(out)
 
-    def __mul__(self, other) -> "TatePolynomial":
-        if isinstance(other, int):
-            if other < 0:
-                raise ValueError("negative scalar")
-            return TatePolynomial({k: a * other for k, a in self._coeffs.items()})
+    def __mul__(self, other: "TatePolynomial") -> "TatePolynomial":
         if not isinstance(other, TatePolynomial):
             return NotImplemented
         pairs = len(self._coeffs) * len(other._coeffs)
@@ -128,8 +124,6 @@ class TatePolynomial:
             for k2, a2 in other._coeffs.items():
                 out[k1 + k2] = out.get(k1 + k2, 0) + a1 * a2
         return TatePolynomial(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "TatePolynomial":
         if n < 0:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import motivecalc
-from motivecalc import ladder
+from motivecalc import TatePolynomial, ladder
 from motivecalc.cli import main
 
 from strategies import carried
@@ -108,8 +108,8 @@ class TestSolve:
     @pytest.mark.parametrize(
         "m1,twist",
         [
-            (ladder(0, 19), carried(200 * ladder(0, 19), ladder(0, 19))),
-            (70000 * ladder(0, 20), ladder(0, 40)),
+            (ladder(0, 19), carried(ladder(0, 19) * TatePolynomial({0: 200}), ladder(0, 19))),
+            (ladder(0, 20) * TatePolynomial({0: 70000}), ladder(0, 40)),
         ],
     )
     def test_packed_refusal_exit_1(self, capsys, m1, twist):
@@ -348,6 +348,16 @@ def test_realization_cap_boundary(capsys):
 )
 def test_builtin_error_names_builtin_and_position(capsys, expr, message):
     assert run(capsys, "dim", expr) == (2, "", f"error: {message} (line 1, column 1)\n")
+
+
+@pytest.mark.parametrize(
+    "expr, column",
+    [("K3 + Bl(P(4), K3, 3)", 6), ("K3 + Fib(Bl(P(4), K3, 3), 1)", 10)],
+)
+def test_nested_builtin_error_names_its_own_position(capsys, expr, column):
+    # the first case is the README's example, verbatim
+    message = "error: Bl: center dim 2 + codim 3 != ambient dim 4"
+    assert run(capsys, "dim", expr) == (2, "", f"{message} (line 1, column {column})\n")
 
 
 def test_atlas_clash_names_builtin_and_position(capsys, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from motivecalc import (
+    Atlas,
     Atom,
     NormalForm,
     Sum,
@@ -26,7 +27,7 @@ from motivecalc.formulas import DimensionMismatchError
 
 from strategies import motive_exprs, print_expr, session_atlas
 
-P = Parser().parse_polynomial
+P = Parser(Atlas()).parse_polynomial
 
 
 @pytest.fixture()

@@ -3,6 +3,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from motivecalc import (
+    Atlas,
     Atom,
     DimensionMismatchError,
     InvalidRankError,
@@ -24,7 +25,7 @@ from motivecalc.formulas import projective_fibration
 
 from strategies import session_atlas
 
-P = Parser().parse_polynomial
+P = Parser(Atlas()).parse_polynomial
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 import pytest
 
 from motivecalc import (
+    Atlas,
     IdentityError,
     NormalForm,
     blow_up,
@@ -35,7 +36,7 @@ from motivecalc.dsl import Parser
 from motivecalc.formulas import projective_fibration
 from motivecalc.motive import Atom
 
-P = Parser().parse_polynomial
+P = Parser(Atlas()).parse_polynomial
 
 M1 = P("1 + 2L + 2L^2 + 2L^3 + L^4")
 M2_TWIST = P("L + 3L^2 + 5L^3 + 5L^4 + 3L^5 + L^6")

@@ -18,7 +18,7 @@ from motivecalc import (
 from motivecalc.dsl import Parser
 from motivecalc.tatepoly import ONE, ZERO, L
 
-P = Parser().parse_polynomial
+P = Parser(Atlas()).parse_polynomial
 
 K3 = k3().diamond
 Q6 = quadric(6).diamond

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 
 from motivecalc import (
+    Atlas,
     Atom,
     AtomRegistry,
     MotiveAtom,
+    MotiveExpr,
     NormalForm,
     NotASummandError,
     NotDivisibleError,
@@ -23,7 +25,7 @@ from motivecalc.tatepoly import ONE, ZERO, L
 
 from strategies import motive_exprs, nonzero_tate_polys, tate_polys
 
-P = Parser().parse_polynomial
+P = Parser(Atlas()).parse_polynomial
 
 M1 = P("1 + 2L + 2L^2 + 2L^3 + L^4")
 M2_TWIST = P("L + 3L^2 + 5L^3 + 5L^4 + 3L^5 + L^6")
@@ -40,29 +42,30 @@ RHS_NF = NormalForm(
 def full_rhs_tree():
     """The double blow-up of the product side, written out as a raw tree."""
     B, Y, H = Atom("B"), Atom("Y"), Atom("Hilb")
-    bp = B * ladder(0, 4)
-    d2 = H * ladder(0, 1)
-    d1p = (
-        B * ladder(0, 2)
-        + (Y * ladder(0, 3)) * ladder(1, 2)
-        + (d2 * ladder(0, 1)) * ladder(1, 2)
+    bp = TensorTwist(B, ladder(0, 4))
+    d2 = TensorTwist(H, ladder(0, 1))
+    d1p = Sum(
+        (
+            TensorTwist(B, ladder(0, 2)),
+            TensorTwist(TensorTwist(Y, ladder(0, 3)), ladder(1, 2)),
+            TensorTwist(TensorTwist(d2, ladder(0, 1)), ladder(1, 2)),
+        )
     )
-    return bp + d2 * ladder(1, 5) + d1p * L
+    return Sum((bp, TensorTwist(d2, ladder(1, 5)), TensorTwist(d1p, L)))
 
 
 class TestNormalize:
     def test_distributivity(self):
         B = Atom("B")
-        e = B * ladder(0, 1) + B * P("L^2")
+        e = Sum((TensorTwist(B, ladder(0, 1)), TensorTwist(B, P("L^2"))))
         assert normalize(e) == NormalForm({"B": ladder(0, 2)})
 
     def test_full_rhs_tree(self):
         assert normalize(full_rhs_tree()) == RHS_NF
 
     def test_unknown_with_tensor_factor(self):
-        e = Atom("X") * M1 + (Atom("Hilb") * ladder(0, 1)) * (
-            ladder(0, 2) * ladder(1, 3)
-        )
+        hilb = TensorTwist(Atom("Hilb"), ladder(0, 1))
+        e = Sum((TensorTwist(Atom("X"), M1), TensorTwist(hilb, ladder(0, 2) * ladder(1, 3))))
         assert normalize(e) == NormalForm({"X": M1, "Hilb": M2_TWIST})
 
     def test_rejects_empty_sum_and_zero_twist(self):
@@ -72,13 +75,35 @@ class TestNormalize:
             TensorTwist(Atom("B"), ZERO)
 
 
+class TestNodes:
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda: 2 * L,
+            lambda: L * 2,
+            lambda: Atom("K3") + Atom("K3"),
+            lambda: Atom("K3") * L,
+        ],
+        ids=["int*L", "L*int", "Atom+Atom", "Atom*L"],
+    )
+    def test_no_operators(self, op):
+        # trees are built with Sum and TensorTwist, twists scale by twists
+        with pytest.raises(TypeError):
+            op()
+
+    def test_every_node_is_a_motive_expr(self):
+        k3 = Atom("K3")
+        for node in (k3, Sum((k3,)), TensorTwist(k3, L)):
+            assert isinstance(node, MotiveExpr)
+
+
 class TestEqual:
     def test_distributed_vs_factored(self):
         A = Atom("A")
-        assert normalize(A * ladder(0, 1)) == normalize(A + A * L)
+        assert normalize(TensorTwist(A, ladder(0, 1))) == normalize(Sum((A, TensorTwist(A, L))))
 
     def test_two_sided_identity(self):
-        lhs = Atom("X") * M1 + Atom("Hilb") * M2_TWIST
+        lhs = Sum((TensorTwist(Atom("X"), M1), TensorTwist(Atom("Hilb"), M2_TWIST)))
         rhs = full_rhs_tree()
         replaced = normalize(lhs).substitute(
             "X", NormalForm({"B": ONE, "Y": P("L^2")})
@@ -190,13 +215,13 @@ class TestDimOf:
         return reg
 
     def test_twist_adds_weight(self, registry):
-        assert dim_of(Atom("B") * P("L^4"), registry) == 10
+        assert dim_of(TensorTwist(Atom("B"), P("L^4")), registry) == 10
 
     def test_point(self, registry):
         assert dim_of(Atom("pt"), registry) == 0
 
     def test_sum_takes_max(self, registry):
-        e = Atom("Hilb") * ladder(0, 1)
+        e = TensorTwist(Atom("Hilb"), ladder(0, 1))
         assert dim_of(e, registry) == 4
 
     def test_unregistered(self, registry):
@@ -208,12 +233,12 @@ class TestNormalizeProperties:
     @settings(max_examples=1000)
     @given(motive_exprs(), motive_exprs())
     def test_respects_sum(self, a, b):
-        assert normalize(a + b) == normalize(a) + normalize(b)
+        assert normalize(Sum((a, b))) == normalize(a) + normalize(b)
 
     @settings(max_examples=500)
     @given(motive_exprs(), nonzero_tate_polys())
     def test_respects_twist(self, a, p):
-        assert normalize(a * p) == normalize(a).scale(p)
+        assert normalize(TensorTwist(a, p)) == normalize(a).scale(p)
 
     @given(motive_exprs())
     def test_idempotent_under_rewrapping(self, a):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motivecalc import ONE, ZERO, L, NotDivisibleError, TatePolynomial, ladder
+from motivecalc import ONE, ZERO, Atlas, L, NotDivisibleError, TatePolynomial, ladder
 from motivecalc.tatepoly import _dense
 
 from motivecalc.dsl import Parser
@@ -19,7 +19,7 @@ from strategies import (
 )
 
 
-P = Parser().parse_polynomial
+P = Parser(Atlas()).parse_polynomial
 
 
 def total(p: TatePolynomial) -> int:
@@ -171,7 +171,8 @@ class TestPackedPath:
     @pytest.mark.parametrize("c", (1, 3, *EDGE_COEFFS))
     @pytest.mark.parametrize("lo", (0, 10**12))
     def test_constant_coefficients(self, c, lo):
-        p, q = c * L**lo * ladder(0, 30), c * ladder(5, 24)
+        const = TatePolynomial({0: c})
+        p, q = L**lo * ladder(0, 30) * const, ladder(5, 24) * const
         assert p * q == mul_reference(p, q)
         assert (p * q).div_exact(q) == p
 
@@ -202,7 +203,7 @@ class TestPackedRefusals:
         # and the quotient 200 + 200L + ... unpacks, but it multiplies back
         # to coefficients above 255
         d = ladder(0, 19)
-        p = carried(200 * d, d)
+        p = carried(d * TatePolynomial({0: 200}), d)
         assert max(p.coeffs.values()) < 256 and at(p, 256) % at(d, 256) == 0
         assert _dense(p.coeffs) and _dense(d.coeffs)
         assert outcome(TatePolynomial.div_exact, p, d) == f"{p} is not divisible by {d}"
@@ -215,7 +216,7 @@ class TestPackedRefusals:
             p.div_exact(d)
 
     def test_divisor_coefficient_above_the_dividend_width(self):
-        p, d = ladder(0, 40), 70000 * ladder(0, 20)
+        p, d = ladder(0, 40), ladder(0, 20) * TatePolynomial({0: 70000})
         with pytest.raises(NotDivisibleError) as exc:
             p.div_exact(d)
         assert str(exc.value) == f"{p} is not divisible by {d}"
