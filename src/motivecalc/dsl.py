@@ -59,6 +59,10 @@ _TOKEN_RE = re.compile(
     r"(?P<NAT>\d+)|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)|(?P<SYM>[+*^(),])"
     r"|(?P<NL>\n)|[^\S\n]+|(?P<BAD>.)"
 )
+# the texts of _TOKEN_RE's tokens, and a one-character text for each
+# character it refuses; the parser reads these and runs tokenize only to
+# place an error
+_TEXT_RE = re.compile(r"\d+|[A-Za-z][A-Za-z0-9_]*|[+*^(),]|\S")
 
 # argument kind of a builtin: EXPR reads an expression, a string reads a
 # natural number and names it in errors
@@ -123,40 +127,38 @@ class Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def _peek(self) -> Token:
-        return self._tokens[self._i]
+    def _error(self, i: int, message: str, cls=DslSyntaxError) -> DslError:
+        """The error at token i, placed by tokenize; a bad character anywhere
+        in the text makes tokenize raise first, so it is reported first."""
+        tok = tokenize(self._text)[i]
+        return cls(message, tok.line, tok.col)
 
-    def _next(self) -> Token:
-        tok = self._tokens[self._i]
-        self._i += 1
-        return tok
+    def _unexpected(self, i: int, what: str) -> DslError:
+        return self._error(i, f"expected {what}, got {self._t[i] or 'end of input'!r}")
 
     def _accept(self, text: str) -> bool:
         """Consume the next token if it reads `text`."""
-        if self._tokens[self._i].text == text:
+        if self._t[self._i] == text:
             self._i += 1
             return True
         return False
 
-    def _expect(self, text: str) -> Token:
-        tok = self._next()
-        if tok.text != text:
-            got = tok.text or "end of input"
-            raise DslSyntaxError(f"expected {text!r}, got {got!r}", tok.line, tok.col)
-        return tok
+    def _expect(self, text: str) -> None:
+        if not self._accept(text):
+            raise self._unexpected(self._i, repr(text))
 
     def _nat(self, what: str) -> int:
-        # the one place numerals are converted
-        tok = self._next()
-        if tok.kind != "NAT":
-            raise DslSyntaxError(
-                f"expected {what}, got {tok.text or 'end of input'!r}", tok.line, tok.col
-            )
+        # the one place numerals are converted; a NAT starts with a \d
+        i = self._i
+        text = self._t[i]
+        if not text[:1].isdecimal():
+            raise self._unexpected(i, what)
+        self._i += 1
         try:
-            return int(tok.text)
+            return int(text)
         except ValueError:  # more digits than Python's int-conversion limit
-            n, limit = len(tok.text), sys.get_int_max_str_digits()
-            raise DslSyntaxError(f"numeral has {n} digits, more than {limit}", tok.line, tok.col)
+            n, limit = len(text), sys.get_int_max_str_digits()
+            raise self._error(i, f"numeral has {n} digits, more than {limit}")
 
     # -- grammar -----------------------------------------------------------
 
@@ -170,21 +172,19 @@ class Parser:
         return self._parse_all(text, self._polynomial)
 
     def _parse_all(self, text: str, rule):
-        self._tokens = tokenize(text)
+        # the rules read token texts only; "" is END
+        self._text = text
+        self._t = _TEXT_RE.findall(text) + [""]
         self._i = 0
         self._depth = 0
         result = rule()
-        tok = self._peek()
-        if tok.kind != "END":
-            raise DslSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
+        if self._t[self._i]:
+            raise self._error(self._i, f"trailing input {self._t[self._i]!r}")
         return result
 
     def _expr(self) -> MotiveExpr:
         if self._depth == MAX_DEPTH:
-            tok = self._peek()
-            raise DslSyntaxError(
-                f"expression nested deeper than {MAX_DEPTH} levels", tok.line, tok.col
-            )
+            raise self._error(self._i, f"expression nested deeper than {MAX_DEPTH} levels")
         self._depth += 1
         terms = [self._term()]
         while self._accept("+"):
@@ -194,35 +194,37 @@ class Parser:
 
     def _term(self) -> MotiveExpr:
         e = self._factor()
-        while self._peek().text == "*":
-            star = self._next()
+        while self._accept("*"):
+            star = self._i - 1
             twist = self._twist()
             if not twist:
-                raise ArityError("twist factor must be nonzero", star.line, star.col)
+                raise self._error(star, "twist factor must be nonzero", ArityError)
             e = TensorTwist(e, twist) if twist != ONE else e
         return e
 
     def _factor(self) -> MotiveExpr:
-        tok = self._next()
-        if tok.text == "(":
+        i = self._i
+        if self._accept("("):
             e = self._expr()
             self._expect(")")
             return e
-        if tok.kind != "NAME":
-            got = tok.text or "end of input"
-            raise DslSyntaxError(f"expected expression, got {got!r}", tok.line, tok.col)
-        if tok.text == "L":
-            raise DslSyntaxError("'L' is only valid as a twist factor", tok.line, tok.col)
-        if tok.text in BUILTINS:
-            return self._builtin(tok)
-        if tok.text == "K3":
+        name = self._t[i]
+        if not (name[:1].isalpha() and name.isascii()):  # a NAME starts with [A-Za-z]
+            raise self._unexpected(i, "expression")
+        if name == "L":
+            raise self._error(i, "'L' is only valid as a twist factor")
+        self._i += 1
+        if name in BUILTINS:
+            return self._builtin(i)
+        if name == "K3":
             self.atlas.k3()
-        if tok.text in self.atlas.registry:
-            return Atom(tok.text)
-        raise UnknownIdentifierError(f"unknown identifier {tok.text!r}", tok.line, tok.col)
+        if name in self.atlas.registry:
+            return Atom(name)
+        raise self._error(i, f"unknown identifier {name!r}", UnknownIdentifierError)
 
-    def _builtin(self, tok: Token) -> MotiveExpr:
-        kinds, construct = BUILTINS[tok.text]
+    def _builtin(self, at: int) -> MotiveExpr:
+        name = self._t[at]
+        kinds, construct = BUILTINS[name]
         self._expect("(")
         args = []
         for i, kind in enumerate(kinds):
@@ -233,7 +235,7 @@ class Parser:
         try:
             return construct(self.atlas, *args)
         except ValueError as exc:
-            raise ArityError(f"{tok.text}: {exc}", tok.line, tok.col) from exc
+            raise self._error(at, f"{name}: {exc}", ArityError) from exc
 
     def _exponent(self) -> int:
         # the power of an 'L' just read: ('^' nat)?, default 1
@@ -243,20 +245,17 @@ class Parser:
         if self._accept("L"):
             k = self._exponent()
             return TatePolynomial({k: 1}) if k else ONE
-        tok = self._next()
-        if tok.text == "(":
+        if self._accept("("):
             poly = self._polynomial()
             self._expect(")")
             return poly
-        got = tok.text or "end of input"
-        raise DslSyntaxError(f"expected a twist, got {got!r}", tok.line, tok.col)
+        raise self._unexpected(self._i, "a twist")
 
     def _polynomial(self) -> TatePolynomial:
         coeffs: dict[int, int] = {}
         while True:
-            tok = self._peek()
             a, k = 1, 0
-            if tok.kind == "NAT":
+            if self._t[self._i][:1].isdecimal():
                 a = self._nat("a coefficient")
                 if self._accept("*"):
                     self._expect("L")
@@ -266,10 +265,7 @@ class Parser:
             elif self._accept("L"):
                 k = self._exponent()
             else:
-                got = tok.text or "end of input"
-                raise DslSyntaxError(
-                    f"expected a polynomial term, got {got!r}", tok.line, tok.col
-                )
+                raise self._unexpected(self._i, "a polynomial term")
             coeffs[k] = coeffs.get(k, 0) + a
             if not self._accept("+"):
                 return TatePolynomial(coeffs)

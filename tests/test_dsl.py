@@ -1,3 +1,4 @@
+import contextlib
 import re
 
 import hypothesis.strategies as st
@@ -14,6 +15,7 @@ from motivecalc import (
     ladder,
     normalize,
 )
+import motivecalc.dsl as dsl
 from motivecalc.dsl import (
     MAX_DEPTH,
     ArityError,
@@ -195,25 +197,89 @@ class TestTokenizePositions:
         assert exc.value.line == 3
 
     # '\x0b' and '\x1c' are whitespace to str.isspace, '\r' is not a newline,
-    # '٣' is a digit; '@', 'é' and a leading '_' are no token
+    # '٣' is a digit; '@', 'é' and a leading '_' are no token.  The parser
+    # reads its own token texts: it must read tokenize's, and report the
+    # first bad character as tokenize does.
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet="LK3Q6_ +*^(),\n\r\t\x0b\x1c٣@é", max_size=30))
     def test_random_text_matches_naive_reference(self, text):
         covered = {i for m in re.finditer(NAIVE_TOKEN, text) for i in range(*m.span())}
         bad = [i for i, ch in enumerate(text) if i not in covered and not ch.isspace()]
+        parser = Parser(Atlas())
         if not bad:
             got = [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
             assert got == naive_tokens(text)
+            with contextlib.suppress(DslError):
+                parser.parse(text)
+            assert parser._t == [t[1] for t in got]
             return
-        with pytest.raises(DslSyntaxError) as exc:
-            tokenize(text)
-        assert (exc.value.line, exc.value.col) == naive_position(text, bad[0])
-        assert str(exc.value).startswith(f"unexpected character {text[bad[0]]!r}")
+        for read in (tokenize, parser.parse):
+            with pytest.raises(DslSyntaxError) as exc:
+                read(text)
+            assert (exc.value.line, exc.value.col) == naive_position(text, bad[0])
+            assert str(exc.value).startswith(f"unexpected character {text[bad[0]]!r}")
 
     def test_parse_error_on_line_three(self, parser):
         with pytest.raises(DslSyntaxError) as exc:
             parser.parse("Q(6)\n+ K3 * L^2\n+ + P(4)")
         assert (exc.value.line, exc.value.col) == (3, 3)
+
+
+class TestParserTexts:
+    """The parser reads token texts and runs tokenize only to place an error."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # '²' passes str.isdigit but is no \d
+            ("K3 * L^²", "unexpected character '²' (line 1, column 8)"),
+            ("K3 + é", "unexpected character 'é' (line 1, column 6)"),
+            # the text would parse without it
+            ("K3 é", "unexpected character 'é' (line 1, column 4)"),
+            # the syntax error at the second '+' comes first in the text
+            ("K3 + + é", "unexpected character 'é' (line 1, column 8)"),
+            ("P(2) + Z²", "unexpected character '²' (line 1, column 9)"),
+            ("K3 +\n", "expected expression, got 'end of input' (line 2, column 1)"),
+            ("K3 * (1 + 2 L", "expected ')', got 'end of input' (line 1, column 14)"),
+        ],
+    )
+    def test_error_messages(self, parser, text, message):
+        with pytest.raises(DslSyntaxError) as exc:
+            parser.parse(text)
+        assert str(exc.value) == message
+
+    def test_a_non_ascii_decimal_digit_is_a_numeral(self, parser):
+        assert parser.parse("P(٣)") == Atom("P3")
+
+    @settings(max_examples=200, deadline=None)
+    @given(motive_exprs(), st.data())
+    def test_a_bad_character_in_a_valid_program(self, e, data):
+        text = print_expr(e)
+        at = data.draw(st.sampled_from([i for i, ch in enumerate(text) if ch == " "] + [len(text)]))
+        bad = data.draw(st.sampled_from("@é_²"))
+        text = text[:at] + " " + bad + text[at:]
+        with pytest.raises(DslSyntaxError) as exc:
+            Parser(session_atlas()).parse(text)
+        assert str(exc.value) == f"unexpected character {bad!r} (line 1, column {at + 2})"
+
+    def test_valid_input_does_not_tokenize(self, monkeypatch):
+        program = (
+            "Q(6) + K3 * L^2\n"
+            "+ Gr(2,5) * (1 + 2L + L^2) + Hilb2(K3)\n"
+            "+ PB(P(2), 3) + Fib(Q(4), 1) * L\n"
+            "+ Bl(P(4), P(2), 2) + Prod(P(1), K3)\n"
+        )
+        expected = Parser(Atlas()).parse(program)
+
+        def refuse(text):
+            raise RuntimeError("tokenize ran")
+
+        monkeypatch.setattr(dsl, "tokenize", refuse)
+        parser = Parser(Atlas())
+        assert parser.parse(program) == expected
+        assert parser.parse_polynomial("1 + 2L + L^2") == TatePolynomial({0: 1, 1: 2, 2: 1})
+        with pytest.raises(RuntimeError, match="tokenize ran"):
+            parser.parse("K3 +")
 
 
 class TestNestingDepth:
