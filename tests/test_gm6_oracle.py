@@ -179,10 +179,6 @@ def chi_y(integrand):
     return interpolate([integrate(mul(integrand(y), td)) for y in range(1, DIM + 2)])
 
 
-def chi_y_grassmannian():
-    return chi_y(lambda_cotangent)
-
-
 def chi_y_sixfold():
     """chi_y(G) + chi_y(Omega_G(-H)) + y chi_y(Omega_Z(-H)), with
     chi(Z, F|_Z) = the integral over G of ch(F) (1 - e^-2H) td(G)."""
@@ -211,9 +207,8 @@ def hodge_sixfold():
     chi = chi_y_sixfold()  # chi[p] = chi(X, Omega^p_X) = sum_q (-1)^q h^{p,q}
     h = {}
     for p in range(DIM + 1):
-        for q in range(DIM + 1 - p):  # Lefschetz below the middle, Serre above
-            if p + q < DIM:
-                h[p, q] = h[DIM - p, DIM - q] = schubert_cells(p) if p == q else 0
+        for q in range(DIM - p):  # Lefschetz below the middle, Serre above
+            h[p, q] = h[DIM - p, DIM - q] = schubert_cells(p) if p == q else 0
     for p in range(DIM + 1):
         rest = sum((-1) ** q * h[p, q] for q in range(DIM + 1) if q != DIM - p)
         h[p, DIM - p] = (-1) ** (DIM - p) * (chi[p] - rest)
@@ -243,7 +238,7 @@ def test_branch_divisor_and_cover():
 def test_hirzebruch_riemann_roch_self_checks():
     assert integrate(todd_grassmannian()) == 1  # chi(O_G)
     # G has only h^{p,p}, one per Schubert cell of dimension p
-    assert chi_y_grassmannian() == [(-1) ** p * schubert_cells(p) for p in range(DIM + 1)]
+    assert chi_y(lambda_cotangent) == [(-1) ** p * schubert_cells(p) for p in range(DIM + 1)]
 
 
 def test_chi_y_of_the_sixfold():
