@@ -5,10 +5,9 @@ squares of surfaces with no odd cohomology.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .tatepoly import MAX_DIM, L, TatePolynomial, _unpack, ladder
+from .tatepoly import MAX_DIM, L, TatePolynomial, gaussian_binomial, ladder
 from .motive import AtomRegistry, MotiveAtom
 from .hodge import HodgeDiamond, check_symmetries
 
@@ -61,21 +60,6 @@ def quadric(n: int) -> AtlasEntry:
     if n % 2 == 0:
         cells = cells + L ** (n // 2)
     return _cellular(f"Q{n}", cells, f"smooth quadric of dimension {n}")
-
-
-def gaussian_binomial(n: int, k: int) -> TatePolynomial:
-    """q-binomial coefficient [n choose k]_q via the q-Pascal recurrence,
-    with q read as the Tate class."""
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    k = min(k, n - k)  # [n, k] = [n, n - k]; each row keeps columns 0..k only
-    # row[j] packs [m, j] at w bytes a degree: its coefficients sum to comb(m, j) <= comb(n, k)
-    w = (math.comb(n, k).bit_length() + 7) // 8
-    row = [1] + [0] * k
-    for m in range(1, n + 1):
-        # [m, j] = [m-1, j-1] + L^j [m-1, j], where [m-1, j] = 0 for j >= m
-        row = [1] + [row[j - 1] + (row[j] << 8 * w * j) for j in range(1, k + 1)]
-    return TatePolynomial(_unpack(row[k], w))
 
 
 def grassmannian(k: int, n: int) -> AtlasEntry:

@@ -131,6 +131,8 @@ def _cmd_expr(args, atlas: Atlas) -> int:
 
 
 def _cmd_solve(args, atlas: Atlas) -> int:
+    if args.m2 == args.rhs == "-":  # stdin can be read only once
+        raise ValueError("at most one of m2 and rhs may be '-'")
     parser = Parser(atlas)
     m1 = parser.parse_polynomial(args.m1)
     m2 = normalize(parser.parse(_read_expr_arg(args.m2)))

@@ -53,15 +53,8 @@ class ArityError(DslError):
 # kind is NAME, NAT, SYM or END
 Token = collections.namedtuple("Token", "kind text line col")
 
-# one alternative per token kind, then a newline, a run of other whitespace
-# (no group) and any other single character
-_TOKEN_RE = re.compile(
-    r"(?P<NAT>\d+)|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)|(?P<SYM>[+*^(),])"
-    r"|(?P<NL>\n)|[^\S\n]+|(?P<BAD>.)"
-)
-# the texts of _TOKEN_RE's tokens, and a one-character text for each
-# character it refuses; the parser reads these and runs tokenize only to
-# place an error
+# every token's text, and a one-character text for each other non-blank
+# character; a token's first character gives its kind
 _TEXT_RE = re.compile(r"\d+|[A-Za-z][A-Za-z0-9_]*|[+*^(),]|\S")
 
 # argument kind of a builtin: EXPR reads an expression, a string reads a
@@ -103,18 +96,16 @@ def tokenize(text: str) -> list[Token]:
     """Tokens with 1-based (line, column); END sits just past the text, on
     its last line."""
     tokens = []
-    line, line_start = 1, 0  # current line and its start offset
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "NL":
-            line += 1
-            line_start = m.end()
-        elif kind == "BAD":
-            col = m.start() - line_start + 1
-            raise DslSyntaxError(f"unexpected character {m.group()!r}", line, col)
-        elif kind:
-            tokens.append(Token(kind, m.group(), line, m.start() - line_start + 1))
-    tokens.append(Token("END", "", line, len(text) - line_start + 1))
+    lines = text.split("\n")  # not splitlines: '\r', '\x0b', '\x1c' are blanks
+    for line, chars in enumerate(lines, 1):
+        for m in _TEXT_RE.finditer(chars):
+            t, col = m.group(), m.start() + 1
+            c = t[0]  # gives the kind, as the parser reads it
+            kind = "NAT" if c.isdecimal() else "NAME" if c.isalpha() and c.isascii() else "SYM"
+            if kind == "SYM" and c not in "+*^(),":
+                raise DslSyntaxError(f"unexpected character {c!r}", line, col)
+            tokens.append(Token(kind, t, line, col))
+    tokens.append(Token("END", "", len(lines), len(lines[-1]) + 1))
     return tokens
 
 
@@ -217,14 +208,13 @@ class Parser:
         if name in BUILTINS:
             return self._builtin(i)
         if name == "K3":
-            self.atlas.k3()
+            self._construct(i, Atlas.k3)
         if name in self.atlas.registry:
             return Atom(name)
         raise self._error(i, f"unknown identifier {name!r}", UnknownIdentifierError)
 
     def _builtin(self, at: int) -> MotiveExpr:
-        name = self._t[at]
-        kinds, construct = BUILTINS[name]
+        kinds, construct = BUILTINS[self._t[at]]
         self._expect("(")
         args = []
         for i, kind in enumerate(kinds):
@@ -232,10 +222,15 @@ class Parser:
                 self._expect(",")
             args.append(self._expr() if kind is EXPR else self._nat(kind))
         self._expect(")")
+        return self._construct(at, construct, *args)
+
+    def _construct(self, at: int, construct, *args):
+        # construct(atlas, *args) for the name at token `at`; a ValueError
+        # becomes an ArityError that names it at its position
         try:
             return construct(self.atlas, *args)
         except ValueError as exc:
-            raise self._error(at, f"{name}: {exc}", ArityError) from exc
+            raise self._error(at, f"{self._t[at]}: {exc}", ArityError) from exc
 
     def _exponent(self) -> int:
         # the power of an 'L' just read: ('^' nat)?, default 1

@@ -146,8 +146,6 @@ class NormalForm:
         return {name: str(self._terms[name]) for name in self.atoms()}
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "{}"
         inner = ", ".join(f"{n}: {self._terms[n]}" for n in self.atoms())
         return "{" + inner + "}"
 

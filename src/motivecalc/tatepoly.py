@@ -7,6 +7,7 @@ never negative; cancellation is only available as exact division.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 
 # largest dimension or top weight the package builds or realizes: ladders,
@@ -45,6 +46,21 @@ def _packed_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     w = (top.bit_length() + 7) // 8
     (lo_a, x), (lo_b, y) = _pack(a, w), _pack(b, w)
     return _unpack(x * y, w, lo_a + lo_b)
+
+
+def gaussian_binomial(n: int, k: int) -> TatePolynomial:
+    """q-binomial coefficient [n choose k]_q via the q-Pascal recurrence,
+    with q read as the Tate class."""
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+    k = min(k, n - k)  # [n, k] = [n, n - k]; each row keeps columns 0..k only
+    # row[j] packs [m, j] at w bytes a degree: its coefficients sum to comb(m, j) <= comb(n, k)
+    w = (math.comb(n, k).bit_length() + 7) // 8
+    row = [1] + [0] * k
+    for m in range(1, n + 1):
+        # [m, j] = [m-1, j-1] + L^j [m-1, j], where [m-1, j] = 0 for j >= m
+        row = [1] + [row[j - 1] + (row[j] << 8 * w * j) for j in range(1, k + 1)]
+    return TatePolynomial(_unpack(row[k], w))
 
 
 class TatePolynomial:

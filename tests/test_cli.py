@@ -1,3 +1,4 @@
+import io
 import json
 import resource
 import subprocess
@@ -57,8 +58,6 @@ class TestExprCommands:
         assert out.strip() == "4"
 
     def test_stdin_expression(self, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO("Q(6)"))
         code, out, _ = run(capsys, "euler", "-")
         assert code == 0
@@ -117,6 +116,13 @@ class TestSolve:
         assert (code, err) == (1, "")
         assert out == f"solve failed: NotDivisibleError: {twist} is not divisible by {m1}\n"
 
+    def test_stdin_read_for_at_most_one_expression(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("K3 * L"))
+        message = "error: at most one of m2 and rhs may be '-'\n"
+        assert run(capsys, "solve", "1", "-", "-") == (2, "", message)
+        # refused before reading: stdin is still there for one '-'
+        assert run(capsys, "solve", "1", "-", "K3 * L + X") == (0, "{X: 1}\n", "")
+
     def test_zero_tensor_factor_exit_2(self, capsys):
         code, out, err = run(capsys, "solve", "0", "P(1)", "P(1)")
         assert (code, out) == (2, "")
@@ -157,6 +163,14 @@ class TestAtlas:
         names = [e["name"] for e in data["entries"]]
         assert {"P4", "Q6", "Gr(2,5)", "K3", "Hilb2K3"} <= set(names)
         assert names == sorted(names)
+
+    def test_dump_entries_load_as_an_atlas_file(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "atlas-dump")
+        path = tmp_path / "dump.json"
+        path.write_text(json.dumps(json.loads(out)["entries"]))
+        expected = run(capsys, "hodge", "P(4)")
+        assert expected[0] == 0
+        assert run(capsys, "hodge", "--atlas", str(path), "P4") == expected
 
     def test_extra_atlas_file(self, capsys, tmp_path):
         extra = [
@@ -361,13 +375,17 @@ def test_nested_builtin_error_names_its_own_position(capsys, expr, column):
 
 
 def test_atlas_clash_names_builtin_and_position(capsys, tmp_path):
-    path = tmp_path / "p1.json"
-    path.write_text(json.dumps([{"name": "P1", "dim": 1, "h": [[0, 0, 1], [1, 1, 1]]}]))
-    assert run(capsys, "dim", "--atlas", str(path), "K3 + P(1)") == (
-        2,
-        "",
-        "error: P: entry 'P1' already present (line 1, column 6)\n",
-    )
+    # a file entry under a builtin's name with another diamond; the plain
+    # identifier K3 is placed like a builtin
+    cases = [
+        ("P1", 1, "K3 + P(1)", "error: P: entry 'P1' already present (line 1, column 6)\n"),
+        ("K3", 2, "P(1) + K3", "error: K3: entry 'K3' already present (line 1, column 8)\n"),
+    ]
+    for name, dim, expr, message in cases:
+        path = tmp_path / f"{name}.json"
+        h = [[k, k, 1] for k in range(dim + 1)]
+        path.write_text(json.dumps([{"name": name, "dim": dim, "h": h}]))
+        assert run(capsys, "dim", "--atlas", str(path), expr) == (2, "", message)
 
 
 @pytest.mark.parametrize("command", ["normalize", "dim"])

@@ -179,6 +179,10 @@ MULTILINE_PROGRAMS = [
     "Fib(Q(6),\n  2)\n\n+ P(4) * (1 +\n 2L)   \n",
     "\n" * 5,
     "",
+    # '\r' and '\f' are blanks inside a line, not line breaks
+    "Q(6) +\r\n  K3 * L^2\r\n",
+    "Q(6)\f+ K3\n\f* L^2",
+    "Q(6) + K3 * L^2\n\n  \n",
 ]
 
 

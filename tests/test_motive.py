@@ -254,6 +254,7 @@ def test_normal_form_serialization_sorted():
     assert nf.to_dict() == {"A": "L", "Z": "1"}
     assert list(nf.to_dict()) == ["A", "Z"]
     assert str(nf) == "{A: L, Z: 1}"
+    assert str(NormalForm()) == "{}"
 
 
 def test_registry_rejects_conflicting_reregistration():
