@@ -118,7 +118,7 @@ def _cmd_expr(args, atlas: Atlas) -> int:
         return 0
     diamond = realize_hodge(nf, atlas.diamond_table())
     if args.command == "hodge":
-        _emit(args, {"hodge": diamond.to_json_dict()}, diamond.pretty())
+        _emit(args, {"hodge": diamond.to_json_dict()}, "" if args.json else diamond.pretty())
         return 0
     if args.command == "betti":
         b = list(diamond.betti())

@@ -11,6 +11,9 @@ from collections.abc import Mapping
 from .tatepoly import MAX_DIM
 from .motive import NormalForm
 
+# pretty() refuses a diamond whose text could pass this many characters
+MAX_PRETTY_CHARS = 2**27
+
 class MissingRealizationError(KeyError):
     """A normal-form atom has no entry in the realization table."""
 
@@ -74,17 +77,36 @@ class HodgeDiamond:
 
     def pretty(self) -> str:
         """Triangular text layout, h^{0,0} at the top, row k lists h^{p,q}
-        with p+q = k and p decreasing left to right."""
+        with p+q = k and p decreasing left to right.  Raises ValueError
+        before building anything if the text could pass MAX_PRETTY_CHARS."""
         n = self.n
-        text = {pq: str(v) for pq, v in self._h.items()}
-        cell = max(map(len, text.values()), default=1) + 2
-        zero = "0".center(cell)
+        cell = len(str(max(self._h.values(), default=0))) + 2
+        size = (2 * n + 1) ** 2 * cell  # 2n+1 rows, each at most (2n+1) cells wide
+        if size > MAX_PRETTY_CHARS:
+            raise ValueError(
+                f"Hodge diamond of dimension {n} with cell width {cell} would render "
+                f"up to {size} characters, over the bound {MAX_PRETTY_CHARS}"
+            )
         # row p + q lists p from min(n, p + q) down, so (p, q) sits at min(q, n - p)
-        rows = [[zero] * (n + 1 - abs(k - n)) for k in range(2 * n + 1)]
-        for (p, q), s in text.items():
-            rows[p + q][min(q, n - p)] = s.center(cell)
-        total = cell * (2 * n + 1)
-        return "\n".join("".join(row).center(total).rstrip() for row in rows)
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(2 * n + 1)]
+        for (p, q), v in self._h.items():
+            rows[p + q].append((min(q, n - p), v))
+        zero = "0".center(cell)
+        pieces = []
+        for k, row in enumerate(rows):
+            m = n + 1 - abs(k - n)
+            # an odd margin implies an odd total width: str.center pads it left first
+            pieces.append(" " * ((cell * (2 * n + 1 - m) + 1) // 2))
+            col = 0
+            for j, v in sorted(row):
+                pieces += (zero * (j - col), str(v).center(cell))
+                col = j + 1
+            if col < m:
+                pieces.append(zero * (m - col))
+            pieces[-1] = pieces[-1].rstrip()
+            pieces.append("\n")
+        pieces.pop()
+        return "".join(pieces)
 
 
 def check_symmetries(d: HodgeDiamond) -> bool:

@@ -166,7 +166,7 @@ def normalize(e: MotiveExpr) -> NormalForm:
         elif isinstance(node, Sum):
             stack.extend((c, twist) for c in reversed(node.children))
         elif isinstance(node, TensorTwist):
-            stack.append((node.child, twist * node.twist))
+            stack.append((node.child, node.twist if twist is ONE else twist * node.twist))
         else:
             raise TypeError(f"not a MotiveExpr: {node!r}")
     return NormalForm({name: TatePolynomial(c) for name, c in acc.items()})

@@ -417,6 +417,26 @@ def test_builtin_cap_boundary():
     assert run_fresh("hodge", "Gr(1,1001)") == run_fresh("hodge", "Gr(1000,1001)") == (0, out, "")
 
 
+def test_oversized_diamond_is_refused_before_it_is_built():
+    # about 4 KB of input whose text diamond would be 2001 rows of 4002-wide cells
+    code, out, err = run_fresh("hodge", f"P(1000) * ({'9' * 4000})")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: Hodge diamond of dimension 1000 with cell width 4002 would render "
+        f"up to {2001**2 * 4002} characters, over the bound {2**27}\n"
+    )
+
+
+def test_hodge_json_is_not_bounded_by_the_rendering_bound():
+    expr = f"P(1000) * ({'9' * 40})"
+    code, out, err = run_fresh("hodge", "--json", expr)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["hodge"]["h"][-1] == [1000, 1000, int("9" * 40)]
+    code, out, err = run_fresh("hodge", expr)
+    assert (code, out) == (2, "")
+    assert f"up to {2001**2 * 42} characters" in err and err.count("\n") == 1
+
+
 # 381 characters whose twist product has 2^25 terms
 TWIST_BOMB = "K3" + "".join(f" * (1 + L^{1 << i})" for i in range(25))
 

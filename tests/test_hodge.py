@@ -15,6 +15,7 @@ from motivecalc import (
     quadric,
     realize_hodge,
 )
+from motivecalc import hodge
 from motivecalc.dsl import Parser
 from motivecalc.tatepoly import ONE, ZERO, L
 
@@ -202,6 +203,14 @@ def symmetric_sparse_diamonds(draw):
 @settings(max_examples=300)
 @given(symmetric_sparse_diamonds())
 @example(HodgeDiamond(0, {}))
+# rows 0 and 2 start and end in a stored cell
+@example(HodgeDiamond(2, {(0, 0): 1, (0, 2): 1, (2, 0): 1, (2, 2): 1}))
+# odd and even cell widths (3, 4, 5) at odd and even n
+@example(HodgeDiamond(1, {(0, 0): 7, (1, 1): 7}))
+@example(HodgeDiamond(3, {(0, 0): 10, (1, 2): 10, (2, 1): 10, (3, 3): 10}))
+@example(HodgeDiamond(3, {(1, 1): 123, (2, 2): 123}))
+@example(HodgeDiamond(2, {(0, 0): 1, (1, 1): 42, (2, 2): 1}))
+@example(HodgeDiamond(4, {(1, 3): 123, (3, 1): 123, (2, 2): 5}))
 def test_pretty_matches_reference(d):
     assert d.pretty() == pretty_reference(d)
 
@@ -212,6 +221,20 @@ def test_pretty_matches_reference_at_dimension_579():
     d = realize_hodge(normalize(expr), atlas.diamond_table())
     assert d.n == 579
     assert d.pretty() == pretty_reference(d)
+
+
+def test_pretty_bound_is_the_predicted_size(monkeypatch):
+    d = HodgeDiamond(2, {(0, 0): 1, (1, 1): 42, (2, 2): 1})
+    size = 5**2 * 4  # 2n + 1 rows of at most 2n + 1 cells, each 2 + 2 wide
+    monkeypatch.setattr(hodge, "MAX_PRETTY_CHARS", size)
+    assert d.pretty() == pretty_reference(d)
+    monkeypatch.setattr(hodge, "MAX_PRETTY_CHARS", size - 1)
+    message = (
+        r"^Hodge diamond of dimension 2 with cell width 4 would render "
+        r"up to 100 characters, over the bound 99$"
+    )
+    with pytest.raises(ValueError, match=message):
+        d.pretty()
 
 
 @settings(max_examples=200)
