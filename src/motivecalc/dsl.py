@@ -55,7 +55,7 @@ Token = collections.namedtuple("Token", "kind text line col")
 
 # every token's text, and a one-character text for each other non-blank
 # character; a token's first character gives its kind
-_TEXT_RE = re.compile(r"\d+|[A-Za-z][A-Za-z0-9_]*|[+*^(),]|\S")
+_TEXT_RE = re.compile(r"[+*^(),]|\d+|[A-Za-z][A-Za-z0-9_]*|\S")
 
 # argument kind of a builtin: EXPR reads an expression, a string reads a
 # natural number and names it in errors
@@ -88,7 +88,7 @@ BUILTINS = {
 }
 
 # deepest nesting of parentheses and builtin arguments the parser accepts;
-# each level costs up to four Python frames
+# each level costs up to three Python frames: _expr, _factor and _builtin
 MAX_DEPTH = 200
 
 
@@ -177,60 +177,66 @@ class Parser:
         if self._depth == MAX_DEPTH:
             raise self._error(self._i, f"expression nested deeper than {MAX_DEPTH} levels")
         self._depth += 1
-        terms = [self._term()]
-        while self._accept("+"):
-            terms.append(self._term())
+        t = self._t
+        terms = []
+        while True:
+            e = self._factor()
+            while t[self._i] == "*":
+                star = self._i
+                self._i += 1
+                twist = self._twist()
+                if not twist:
+                    raise self._error(star, "twist factor must be nonzero", ArityError)
+                e = TensorTwist(e, twist) if twist != ONE else e
+            terms.append(e)
+            if t[self._i] != "+":
+                break
+            self._i += 1
         self._depth -= 1
         return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
-    def _term(self) -> MotiveExpr:
-        e = self._factor()
-        while self._accept("*"):
-            star = self._i - 1
-            twist = self._twist()
-            if not twist:
-                raise self._error(star, "twist factor must be nonzero", ArityError)
-            e = TensorTwist(e, twist) if twist != ONE else e
-        return e
-
     def _factor(self) -> MotiveExpr:
         i = self._i
-        if self._accept("("):
+        name = self._t[i]
+        if name == "(":
+            self._i += 1
             e = self._expr()
             self._expect(")")
             return e
-        name = self._t[i]
+        if name in BUILTINS:
+            self._i += 1
+            return self._builtin(i)
         if not (name[:1].isalpha() and name.isascii()):  # a NAME starts with [A-Za-z]
             raise self._unexpected(i, "expression")
         if name == "L":
             raise self._error(i, "'L' is only valid as a twist factor")
         self._i += 1
-        if name in BUILTINS:
-            return self._builtin(i)
         if name == "K3":
-            self._construct(i, Atlas.k3)
+            try:
+                self.atlas.k3()
+            except ValueError as exc:
+                raise self._error(i, f"K3: {exc}", ArityError) from exc
         if name in self.atlas.registry:
             return Atom(name)
         raise self._error(i, f"unknown identifier {name!r}", UnknownIdentifierError)
 
     def _builtin(self, at: int) -> MotiveExpr:
-        kinds, construct = BUILTINS[self._t[at]]
-        self._expect("(")
-        args = []
-        for i, kind in enumerate(kinds):
-            if i:
-                self._expect(",")
+        t = self._t
+        kinds, construct = BUILTINS[t[at]]
+        args, sep = [self.atlas], "("
+        for kind in kinds:
+            if t[self._i] != sep:
+                raise self._unexpected(self._i, repr(sep))
+            self._i += 1
             args.append(self._expr() if kind is EXPR else self._nat(kind))
-        self._expect(")")
-        return self._construct(at, construct, *args)
-
-    def _construct(self, at: int, construct, *args):
-        # construct(atlas, *args) for the name at token `at`; a ValueError
-        # becomes an ArityError that names it at its position
+            sep = ","
+        if t[self._i] != ")":
+            raise self._unexpected(self._i, "')'")
+        self._i += 1
         try:
-            return construct(self.atlas, *args)
+            return construct(*args)
         except ValueError as exc:
-            raise self._error(at, f"{self._t[at]}: {exc}", ArityError) from exc
+            raise self._error(at, f"{t[at]}: {exc}", ArityError) from exc
 
     def _exponent(self) -> int:
         # the power of an 'L' just read: ('^' nat)?, default 1

@@ -11,7 +11,6 @@ normal-form level.
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass
 from collections.abc import Mapping
 
 from .tatepoly import ONE, ZERO, TatePolynomial
@@ -59,28 +58,59 @@ class AtomRegistry:
 # -- expression trees ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+class _Frozen:
+    """Immutable fields named by __slots__; equal only within one class."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({inner})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._fields()
 
 
-@dataclass(frozen=True)
-class Sum:
-    children: tuple[MotiveExpr, ...]
+class Atom(_Frozen):
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        if not self.children:
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
+
+
+class Sum(_Frozen):
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple[MotiveExpr, ...]):
+        if not children:
             raise ValueError("Sum needs at least one child")
+        object.__setattr__(self, "children", children)
 
 
-@dataclass(frozen=True)
-class TensorTwist:
-    child: MotiveExpr
-    twist: TatePolynomial
+class TensorTwist(_Frozen):
+    __slots__ = ("child", "twist")
 
-    def __post_init__(self):
-        if not self.twist:
+    def __init__(self, child: MotiveExpr, twist: TatePolynomial):
+        if not twist:
             raise ValueError("tensor twist factor must be nonzero")
+        object.__setattr__(self, "child", child)
+        object.__setattr__(self, "twist", twist)
 
 
 # an expression node: a named atom, a direct sum, or a tensor by a twist
@@ -159,13 +189,14 @@ def normalize(e: MotiveExpr) -> NormalForm:
     stack = [(e, ONE)]  # (node, product of the twists above it); leftmost child on top
     while stack:
         node, twist = stack.pop()
-        if isinstance(node, Atom):
+        t = type(node)
+        if t is Atom:
             coeffs = acc.setdefault(node.name, {})
-            for k, a in twist.items():
+            for k, a in twist._coeffs.items():  # stored terms; their order is irrelevant
                 coeffs[k] = coeffs.get(k, 0) + a
-        elif isinstance(node, Sum):
+        elif t is Sum:
             stack.extend((c, twist) for c in reversed(node.children))
-        elif isinstance(node, TensorTwist):
+        elif t is TensorTwist:
             stack.append((node.child, node.twist if twist is ONE else twist * node.twist))
         else:
             raise TypeError(f"not a MotiveExpr: {node!r}")
@@ -180,11 +211,12 @@ def dim_of(e: MotiveExpr, registry: AtomRegistry) -> int:
     stack = [(e, 0)]  # (node, total degree of the twists above it)
     while stack:
         node, shift = stack.pop()
-        if isinstance(node, Atom):
+        t = type(node)
+        if t is Atom:
             top = max(top, registry.dim(node.name) + shift)
-        elif isinstance(node, Sum):
+        elif t is Sum:
             stack.extend((c, shift) for c in reversed(node.children))
-        elif isinstance(node, TensorTwist):
+        elif t is TensorTwist:
             stack.append((node.child, shift + node.twist.degree))
         else:
             raise TypeError(f"not a MotiveExpr: {node!r}")
@@ -198,12 +230,14 @@ CANCELLATION_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class Solved:
+class Solved(_Frozen):
     """Result of solve_tensor_factor, with the modeling caveat attached."""
 
-    normal_form: NormalForm
+    __slots__ = ("normal_form",)
     note = CANCELLATION_NOTE  # a class constant, not a field
+
+    def __init__(self, normal_form: NormalForm):
+        object.__setattr__(self, "normal_form", normal_form)
 
 
 def solve_tensor_factor(

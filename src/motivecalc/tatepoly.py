@@ -171,9 +171,9 @@ class TatePolynomial:
             w = (top.bit_length() + 7) // 8
             (p_lo, x), (d_lo, y) = _pack(p, w), _pack(dc, w)
             n, r = divmod(x, y)
-            quot = _unpack(n, w, p_lo - d_lo)
-            # an integer quotient need not be one in N[L]: multiply back
-            if r or _packed_product(quot, dc) != p:
+            # a remainder refuses before any unpacking; an integer quotient
+            # need not be one in N[L], so the rest is multiplied back
+            if r or _packed_product(quot := _unpack(n, w, p_lo - d_lo), dc) != p:
                 raise NotDivisibleError(f"{self} is not divisible by {d}")
             return TatePolynomial(quot)
         rem = dict(p)

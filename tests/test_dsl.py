@@ -303,6 +303,24 @@ class TestNestingDepth:
         with pytest.raises(DslSyntaxError, match="nested deeper"):
             parser.parse("PB(" * MAX_DEPTH + "K3" + ", 1)" * MAX_DEPTH)
 
+    @pytest.mark.parametrize(
+        "nest",
+        [
+            # Hilb2 takes only a surface, so its argument nests in parentheses
+            lambda d: "Hilb2(" + "(" * (d - 1) + "K3" + ")" * (d - 1) + ")",
+            lambda d: "PB(" * d + "K3" + ", 1)" * d,
+            lambda d: "Fib(" * d + "K3" + ", 0)" * d,
+            lambda d: "Bl(" * d + "K3" + ", P(0), 2)" * d,
+            lambda d: "Prod(" * d + "K3" + ", P(0))" * d,
+        ],
+        ids=["Hilb2", "PB", "Fib", "Bl", "Prod"],
+    )
+    def test_each_builtin_nests_to_the_limit(self, parser, nest):
+        # nest(d) puts K3 d levels below the outermost expression
+        parser.parse(nest(MAX_DEPTH - 1))
+        with pytest.raises(DslSyntaxError, match=f"nested deeper than {MAX_DEPTH} levels"):
+            parser.parse(nest(MAX_DEPTH))
+
     def test_siblings_do_not_add_up(self, parser):
         e = parser.parse(" + ".join(["(K3)"] * (2 * MAX_DEPTH)))
         assert normalize(e) == NormalForm({"K3": TatePolynomial({0: 2 * MAX_DEPTH})})

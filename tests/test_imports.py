@@ -1,5 +1,6 @@
 """The modules of the package share only public names: a private name, such
-as tatepoly's packed-digit helpers, is used only in the module defining it."""
+as tatepoly's packed-digit helpers, is used only in the module defining it.
+The expression trees and their parser load no dataclasses."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,33 @@ def test_the_check_finds_private_imports(source, found):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_a_private_name_from_a_sibling(path):
     assert private_sibling_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Each module the source imports, a relative one with its leading dots."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            out.add("." * node.level + (node.module or ""))
+    return out
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("import dataclasses", {"dataclasses"}),
+        ("from dataclasses import dataclass", {"dataclasses"}),
+        ("def f():\n    import dataclasses as d", {"dataclasses"}),
+        ("from . import motive\nfrom .tatepoly import ONE", {".", ".tatepoly"}),
+    ],
+)
+def test_the_check_finds_imported_modules(source, found):
+    assert imported_modules(source) == found
+
+
+@pytest.mark.parametrize("name", ["motive.py", "dsl.py"])
+def test_expression_modules_do_not_import_dataclasses(name):
+    # their nodes are __slots__ classes, and the import costs a cold start
+    assert "dataclasses" not in imported_modules((SRC / name).read_text(encoding="utf-8"))

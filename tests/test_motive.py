@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -95,6 +98,59 @@ class TestNodes:
         k3 = Atom("K3")
         for node in (k3, Sum((k3,)), TensorTwist(k3, L)):
             assert isinstance(node, MotiveExpr)
+
+    def test_equal_nodes_hash_equally(self):
+        for build in (
+            lambda: Atom("K3"),
+            lambda: Sum((Atom("K3"), Atom("B"))),
+            lambda: TensorTwist(Sum((Atom("K3"),)), ladder(0, 2)),
+        ):
+            a, b = build(), build()
+            assert a is not b and a == b and hash(a) == hash(b)
+        assert TensorTwist(Atom("K3"), L) != TensorTwist(Atom("K3"), ladder(0, 1))
+
+    def test_equal_only_within_one_class(self):
+        k3 = Atom("K3")
+        assert k3 != ("K3",) and ("K3",) != k3
+        assert k3 != Sum((k3,)) and Sum((k3,)) != (k3,)
+        assert TensorTwist(k3, L) != (k3, L)
+
+    def test_fields_are_read_only(self):
+        k3 = Atom("K3")
+        for node, field in ((k3, "name"), (Sum((k3,)), "children"), (TensorTwist(k3, L), "twist")):
+            with pytest.raises(AttributeError):
+                setattr(node, field, k3)
+            with pytest.raises(AttributeError):
+                delattr(node, field)
+            with pytest.raises(AttributeError):
+                node.other = 1
+            assert not hasattr(node, "__dict__")
+        assert k3.name == "K3"
+
+    def test_copy_and_pickle_rebuild_equal_nodes(self):
+        # a TatePolynomial itself is neither deep-copied nor pickled
+        twisted = TensorTwist(Atom("B"), ladder(0, 2))
+        assert copy.copy(twisted) == twisted and copy.copy(twisted).twist is twisted.twist
+        tree = Sum((Atom("K3"), Sum((Atom("B"),))))
+        for clone in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+            assert clone == tree and type(clone.children[1]) is Sum
+
+    def test_repr_is_the_field_form(self):
+        k3 = Atom("K3")
+        assert repr(k3) == "Atom(name='K3')"
+        assert repr(Sum((k3,))) == "Sum(children=(Atom(name='K3'),))"
+        assert repr(TensorTwist(k3, L)) == (
+            "TensorTwist(child=Atom(name='K3'), twist=TatePolynomial({1: 1}))"
+        )
+
+    def test_walks_refuse_other_values(self):
+        reg = AtomRegistry()
+        reg.register(MotiveAtom("K3", 2))
+        for bad in (("K3",), Sum((("K3",),)), TensorTwist("K3", L)):
+            with pytest.raises(TypeError, match="not a MotiveExpr"):
+                normalize(bad)
+            with pytest.raises(TypeError, match="not a MotiveExpr"):
+                dim_of(bad, reg)
 
 
 class TestEqual:

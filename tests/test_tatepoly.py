@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motivecalc import ONE, ZERO, Atlas, L, NotDivisibleError, TatePolynomial, ladder
+import motivecalc.tatepoly as tatepoly
 from motivecalc.tatepoly import _dense
 
 from motivecalc.dsl import Parser
@@ -220,6 +221,17 @@ class TestPackedRefusals:
         with pytest.raises(NotDivisibleError) as exc:
             p.div_exact(d)
         assert str(exc.value) == f"{p} is not divisible by {d}"
+
+    def test_nonzero_remainder_refused_before_unpacking(self, monkeypatch):
+        # an exact multiple plus one term: the packed division leaves a
+        # remainder, so no quotient is unpacked only to be thrown away
+        p, d = ladder(0, 39) + L**5, ladder(0, 19)
+        assert _dense(p.coeffs) and _dense(d.coeffs)
+        unpacked, unpack = [], tatepoly._unpack
+        monkeypatch.setattr(tatepoly, "_unpack", lambda *a: unpacked.append(a) or unpack(*a))
+        with pytest.raises(NotDivisibleError) as exc:
+            p.div_exact(d)
+        assert str(exc.value) == f"{p} is not divisible by {d}" and unpacked == []
 
     def test_dividend_below_the_divisor(self):
         # packed from their own lowest degrees, the ints divide exactly:
