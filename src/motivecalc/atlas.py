@@ -5,9 +5,7 @@ squares of surfaces with no odd cohomology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .tatepoly import MAX_DIM, L, TatePolynomial, gaussian_binomial, ladder
+from .tatepoly import MAX_DIM, Frozen, L, TatePolynomial, gaussian_binomial, ladder
 from .motive import AtomRegistry, MotiveAtom
 from .hodge import HodgeDiamond, check_symmetries
 
@@ -16,33 +14,36 @@ class OddCohomologyError(ValueError):
     """hilb2 is only implemented for surfaces with b1 = b3 = 0."""
 
 
-@dataclass(frozen=True)
-class AtlasEntry:
-    name: str
-    diamond: HodgeDiamond
-    torsion_free: bool
-    provenance: str
-    # Poincare polynomial in L for cellular varieties (diagonal diamond);
-    # None for non-cellular entries such as K3.
-    cells: TatePolynomial | None = None
+class AtlasEntry(Frozen):
+    """A variety's Hodge diamond and torsion flag; ``cells`` is the Poincare
+    polynomial in L of a cellular one (diagonal diamond), else None.  Equality
+    and hash skip the ``provenance`` label: an entry is its mathematics."""
 
-    def __post_init__(self):
-        if not check_symmetries(self.diamond):
-            raise ValueError(f"diamond of {self.name} fails symmetry checks")
+    __slots__ = ("name", "diamond", "torsion_free", "provenance", "cells")
+
+    def __init__(
+        self, name: str, diamond: HodgeDiamond, torsion_free: bool, provenance: str, cells=None
+    ):
+        if not check_symmetries(diamond):
+            raise ValueError(f"diamond of {name} fails symmetry checks")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "diamond", diamond)
+        object.__setattr__(self, "torsion_free", torsion_free)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "cells", cells)
+
+    def _key(self) -> tuple:
+        return self.name, self.diamond, self.torsion_free, self.cells
+
+
+def diagonal(cells: TatePolynomial) -> HodgeDiamond:
+    """Diamond of a variety with cells[k] cells of dimension k: h^{k,k} = cells[k]."""
+    return HodgeDiamond(cells.degree, {(k, k): a for k, a in cells.items()})
 
 
 def _cellular(name: str, cells: TatePolynomial, provenance: str) -> AtlasEntry:
-    """Entry of a torsion-free cellular variety with cells[k] cells of
-    dimension k: its dimension is the top cell degree and its diamond is
-    diagonal, h^{k,k} = cells[k]."""
-    n = cells.degree
-    return AtlasEntry(
-        name=name,
-        diamond=HodgeDiamond(n, {(k, k): a for k, a in cells.items()}),
-        torsion_free=True,
-        provenance=provenance,
-        cells=cells,
-    )
+    """Entry of a torsion-free cellular variety: its diamond is diagonal."""
+    return AtlasEntry(name, diagonal(cells), True, provenance, cells)
 
 
 def projective_space(n: int) -> AtlasEntry:
@@ -72,12 +73,7 @@ def grassmannian(k: int, n: int) -> AtlasEntry:
 
 def k3() -> AtlasEntry:
     h = {(0, 0): 1, (2, 0): 1, (1, 1): 20, (0, 2): 1, (2, 2): 1}
-    return AtlasEntry(
-        name="K3",
-        diamond=HodgeDiamond(2, h),
-        torsion_free=True,
-        provenance="K3 surface",
-    )
+    return AtlasEntry("K3", HodgeDiamond(2, h), True, "K3 surface")
 
 
 def hilb2_surface(s: AtlasEntry) -> AtlasEntry:
@@ -106,10 +102,7 @@ def hilb2_surface(s: AtlasEntry) -> AtlasEntry:
         h[(p + 1, q + 1)] = h.get((p + 1, q + 1), 0) + v
 
     return AtlasEntry(
-        name=f"Hilb2{s.name}",
-        diamond=HodgeDiamond(4, h),
-        torsion_free=s.torsion_free,
-        provenance=f"Hilbert square of {s.name}",
+        f"Hilb2{s.name}", HodgeDiamond(4, h), s.torsion_free, f"Hilbert square of {s.name}"
     )
 
 
@@ -123,6 +116,7 @@ class Atlas:
         self._built: dict[tuple, AtlasEntry] = {}
 
     def add(self, entry: AtlasEntry) -> AtlasEntry:
+        """Register an entry; an equal one already present stays, provenance and all."""
         existing = self._entries.get(entry.name)
         if existing is not None:
             if existing != entry:

@@ -13,8 +13,8 @@ import sys
 from .tatepoly import ONE, NotDivisibleError
 from .motive import MotiveAtom, NotASummandError, dim_of, normalize, solve_tensor_factor
 from .hodge import HodgeDiamond, realize_hodge
-from .atlas import Atlas, AtlasEntry
-from .dsl import Parser, print_twist
+from .atlas import Atlas, AtlasEntry, diagonal
+from .dsl import DslError, Parser, print_twist
 from .gm import SCENARIO_DIMS, GMScenario, full_report, verify_identity
 
 SCHEMA = "motive-calc/1"
@@ -55,13 +55,18 @@ def _load_extra_atlas(atlas: Atlas, path: str) -> None:
         torsion_free = item.get("torsion_free", False)
         if not isinstance(torsion_free, bool):
             raise bad("torsion_free", "a boolean")
-        entry = AtlasEntry(
-            name=name,
-            diamond=HodgeDiamond(dim, {(p, q): v for p, q, v in h}),
-            torsion_free=torsion_free,
-            provenance=f"user atlas file {path}",
-        )
-        atlas.add(entry)
+        diamond = HodgeDiamond(dim, {(p, q): v for p, q, v in h})
+        cells = item.get("cells")
+        if cells is not None:
+            if not isinstance(cells, str):
+                raise bad("cells", "null or a twist polynomial")
+            try:
+                cells = Parser(atlas).parse_polynomial(cells)
+            except DslError as exc:
+                raise bad("cells", f"a twist polynomial: {exc}") from None
+            if not cells or diagonal(cells) != diamond:
+                raise bad("cells", f"a twist polynomial whose diagonal diamond is {field!r}")
+        atlas.add(AtlasEntry(name, diamond, torsion_free, f"user atlas file {path}", cells))
 
 
 def _read_expr_arg(arg: str) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .tatepoly import ONE, L
+from .tatepoly import ONE, Frozen, L
 from .motive import (
     Atom,
     AtomRegistry,
@@ -146,22 +146,24 @@ def expected_mx() -> NormalForm:
     return NormalForm({"B": ONE, "Y": L**2})
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Frozen):
     """A scenario's one derivation pass: its facts validated, both sides
     built and normalized once, and compared after substituting X -> B + Y*L^2.
     Solving, realization and the torsion certificate all read the normal
-    forms stored here.
+    forms ``lhs`` and ``rhs`` stored here.
 
     A construction or validation failure is kept in ``error`` rather than
     raised, so perturbed scenarios can be probed; lhs and rhs are then None.
     """
 
-    ok: bool
-    message: str
-    lhs: NormalForm | None = None
-    rhs: NormalForm | None = None
-    error: Exception | None = None
+    __slots__ = ("ok", "message", "lhs", "rhs", "error")
+
+    def __init__(self, ok: bool, message: str, lhs=None, rhs=None, error=None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "error", error)
 
     def sides(self) -> tuple[NormalForm, NormalForm]:
         """The normalized lhs and rhs if the identity holds; else raises its failure."""

@@ -6,9 +6,10 @@ to one, additively over atoms.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping
 
-from .tatepoly import MAX_DIM
+from .tatepoly import MAX_DIM, Frozen
 from .motive import NormalForm
 
 # pretty() refuses a diamond whose text could pass this many characters
@@ -22,7 +23,7 @@ class MissingRealizationError(KeyError):
         return str(self.args[0])
 
 
-class HodgeDiamond:
+class HodgeDiamond(Frozen):
     """The table h^{p,q}, 0 <= p,q <= n, stored sparsely (zeros absent)."""
 
     __slots__ = ("n", "_h")
@@ -42,8 +43,8 @@ class HodgeDiamond:
                 raise ValueError(f"negative Hodge number at ({p},{q})")
             if v:
                 clean[(p, q)] = v
-        self.n = n
-        self._h = clean
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_h", clean)
 
     def hodge(self, p: int, q: int) -> int:
         return self._h.get((p, q), 0)
@@ -69,9 +70,6 @@ class HodgeDiamond:
     def __hash__(self) -> int:
         return hash((self.n, frozenset(self._h.items())))
 
-    def __repr__(self) -> str:
-        return f"HodgeDiamond(n={self.n}, h={dict(sorted(self._h.items()))!r})"
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "h": [[p, q, v] for p, q, v in self.entries()]}
 
@@ -92,17 +90,19 @@ class HodgeDiamond:
         for (p, q), v in self._h.items():
             rows[p + q].append((min(q, n - p), v))
         zero = "0".center(cell)
+        # margins and zero runs are most of a big text: one string per length, shared
+        repeat = functools.cache(str.__mul__)
         pieces = []
         for k, row in enumerate(rows):
             m = n + 1 - abs(k - n)
             # an odd margin implies an odd total width: str.center pads it left first
-            pieces.append(" " * ((cell * (2 * n + 1 - m) + 1) // 2))
+            pieces.append(repeat(" ", (cell * (2 * n + 1 - m) + 1) // 2))
             col = 0
             for j, v in sorted(row):
-                pieces += (zero * (j - col), str(v).center(cell))
+                pieces += (repeat(zero, j - col), str(v).center(cell))
                 col = j + 1
             if col < m:
-                pieces.append(zero * (m - col))
+                pieces += (repeat(zero, m - col - 1), zero)
             pieces[-1] = pieces[-1].rstrip()
             pieces.append("\n")
         pieces.pop()

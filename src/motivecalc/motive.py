@@ -13,7 +13,7 @@ from __future__ import annotations
 import collections
 from collections.abc import Mapping
 
-from .tatepoly import ONE, ZERO, TatePolynomial
+from .tatepoly import ONE, ZERO, Frozen, TatePolynomial
 
 
 class UnregisteredAtomError(KeyError):
@@ -58,43 +58,14 @@ class AtomRegistry:
 # -- expression trees ------------------------------------------------------
 
 
-class _Frozen:
-    """Immutable fields named by __slots__; equal only within one class."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({inner})"
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"field {name!r} is read-only")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return type(self), self._fields()
-
-
-class Atom(_Frozen):
+class Atom(Frozen):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
         object.__setattr__(self, "name", name)
 
 
-class Sum(_Frozen):
+class Sum(Frozen):
     __slots__ = ("children",)
 
     def __init__(self, children: tuple[MotiveExpr, ...]):
@@ -103,7 +74,7 @@ class Sum(_Frozen):
         object.__setattr__(self, "children", children)
 
 
-class TensorTwist(_Frozen):
+class TensorTwist(Frozen):
     __slots__ = ("child", "twist")
 
     def __init__(self, child: MotiveExpr, twist: TatePolynomial):
@@ -120,13 +91,13 @@ MotiveExpr = Atom | Sum | TensorTwist
 # -- normal forms ----------------------------------------------------------
 
 
-class NormalForm:
+class NormalForm(Frozen):
     """Canonical map atom-name -> TatePolynomial (zero polynomials absent)."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[str, TatePolynomial] = {}):
-        self._terms = {name: poly for name, poly in terms.items() if poly}
+        object.__setattr__(self, "_terms", {name: poly for name, poly in terms.items() if poly})
 
     @property
     def terms(self) -> dict[str, TatePolynomial]:
@@ -179,9 +150,6 @@ class NormalForm:
         inner = ", ".join(f"{n}: {self._terms[n]}" for n in self.atoms())
         return "{" + inner + "}"
 
-    def __repr__(self) -> str:
-        return f"NormalForm({self._terms!r})"
-
 
 def normalize(e: MotiveExpr) -> NormalForm:
     """Flatten sums and distribute twists into the canonical atom -> polynomial map."""
@@ -230,7 +198,7 @@ CANCELLATION_NOTE = (
 )
 
 
-class Solved(_Frozen):
+class Solved(Frozen):
     """Result of solve_tensor_factor, with the modeling caveat attached."""
 
     __slots__ = ("normal_form",)

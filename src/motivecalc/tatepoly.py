@@ -63,12 +63,45 @@ def gaussian_binomial(n: int, k: int) -> TatePolynomial:
     return TatePolynomial(_unpack(row[k], w))
 
 
-class TatePolynomial:
+class Frozen:
+    """Base of every value type: read-only fields named by __slots__, which
+    the constructor takes in that order; equal only within one class, on the
+    fields ``_key`` lists (all unless a subclass narrows it)."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    _key = _fields
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({inner})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return type(self), self._fields()
+
+
+class TatePolynomial(Frozen):
     """A formal nonnegative-integer combination of powers of the Tate class L.
 
-    Sparse canonical form: the coefficient map never stores zeros.  Instances
-    are immutable and hashable; all arithmetic returns new values, so they are
-    safe to share freely.
+    Sparse canonical form: the coefficient map never stores zeros.  A Frozen
+    value, hashable, copied and pickled through its constructor; arithmetic
+    returns new values, so instances are safe to share freely.
     """
 
     __slots__ = ("_coeffs",)
@@ -85,9 +118,6 @@ class TatePolynomial:
             if a:
                 clean[k] = a
         object.__setattr__(self, "_coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TatePolynomial is immutable")
 
     # -- inspection --------------------------------------------------------
 

@@ -294,6 +294,24 @@ def test_clashing_user_entry_fails_on_every_call():
             atlas.projective_space(3)
 
 
+def test_an_entry_is_its_mathematics_and_the_first_label_stays():
+    built = projective_space(4)
+    first = AtlasEntry("P4", built.diamond, True, "user entry", built.cells)
+    assert first == built and hash(first) == hash(built)
+    atlas = Atlas()
+    assert atlas.add(first) is first
+    assert atlas.projective_space(4) is first and first.provenance == "user entry"
+    # another torsion flag, or no cells, is another entry
+    for other in (
+        AtlasEntry("P4", built.diamond, False, "user entry", built.cells),
+        AtlasEntry("P4", built.diamond, True, "user entry"),
+    ):
+        atlas = Atlas()
+        atlas.add(other)
+        with pytest.raises(ValueError, match="entry 'P4' already present"):
+            atlas.projective_space(4)
+
+
 def test_hilb2_built_once_and_requires_base():
     atlas = Atlas()
     with pytest.raises(KeyError):

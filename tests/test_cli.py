@@ -155,6 +155,17 @@ class TestVerify:
         assert out1 == out2
 
 
+# (command, input read beside a loaded atlas-dump, the builtin input it must
+# print like without the file)
+DUMP_CASES = [
+    ("hodge", "P4", "P(4)"),
+    ("hodge", "P(4)", "P(4)"),
+    ("hodge", "K3", "K3"),
+    ("hodge", "Prod(P4, K3)", "Prod(P(4), K3)"),
+    ("normalize", "Prod(P4, X)", "Prod(P(4), X)"),
+]
+
+
 class TestAtlas:
     def test_dump(self, capsys):
         code, out, _ = run(capsys, "atlas-dump")
@@ -165,12 +176,18 @@ class TestAtlas:
         assert names == sorted(names)
 
     def test_dump_entries_load_as_an_atlas_file(self, capsys, tmp_path):
+        # an entry equal to a builtin's is that entry, so the dump, once or
+        # twice, changes no output; P4 reads the dump's entry for P(4)
         _, out, _ = run(capsys, "atlas-dump")
-        path = tmp_path / "dump.json"
-        path.write_text(json.dumps(json.loads(out)["entries"]))
-        expected = run(capsys, "hodge", "P(4)")
-        assert expected[0] == 0
-        assert run(capsys, "hodge", "--atlas", str(path), "P4") == expected
+        entries = json.loads(out)["entries"]
+        for copies in (1, 2):
+            path = tmp_path / f"dump{copies}.json"
+            path.write_text(json.dumps(entries * copies))
+            for command, expr, builtin in DUMP_CASES:
+                expected = run(capsys, command, builtin)
+                assert expected[0] == 0
+                got = run(capsys, command, "--atlas", str(path), expr)
+                assert got == expected, (copies, command, expr)
 
     def test_extra_atlas_file(self, capsys, tmp_path):
         extra = [
@@ -243,6 +260,26 @@ class TestAtlas:
             (
                 [{"name": "S", "dim": 0, "h": [[0, 0, 1]], "torsion_free": "false"}],
                 "'torsion_free' must be a boolean",
+            ),
+            (
+                [{"name": "S", "dim": 1, "h": [[0, 0, 1], [1, 1, 1]], "cells": 2}],
+                "item 0: 'cells' must be null or a twist polynomial",
+            ),
+            (
+                [{"name": "S", "dim": 1, "h": [[0, 0, 1], [1, 1, 1]], "cells": "1 +"}],
+                "'cells' must be a twist polynomial: expected a polynomial term, got 'end",
+            ),
+            (
+                [{"name": "S", "dim": 1, "h": [[0, 0, 1], [1, 1, 1]], "cells": "1 + 2L"}],
+                "'cells' must be a twist polynomial whose diagonal diamond is 'h'",
+            ),
+            (
+                [{"name": "S", "dim": 1, "diamond": {"h": [[0, 0, 1], [1, 1, 1]]}, "cells": "1"}],
+                "'cells' must be a twist polynomial whose diagonal diamond is 'diamond.h'",
+            ),
+            (
+                [{"name": "S", "dim": 0, "h": [], "cells": "0"}],
+                "'cells' must be a twist polynomial whose diagonal diamond is 'h'",
             ),
         ],
     )
@@ -375,8 +412,8 @@ def test_nested_builtin_error_names_its_own_position(capsys, expr, column):
 
 
 def test_atlas_clash_names_builtin_and_position(capsys, tmp_path):
-    # a file entry under a builtin's name with another diamond; the plain
-    # identifier K3 is placed like a builtin
+    # a file entry under a builtin's name that is not its entry (no torsion
+    # flag, no cells); the plain identifier K3 is placed like a builtin
     cases = [
         ("P1", 1, "K3 + P(1)", "error: P: entry 'P1' already present (line 1, column 6)\n"),
         ("K3", 2, "P(1) + K3", "error: K3: entry 'K3' already present (line 1, column 8)\n"),

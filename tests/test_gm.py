@@ -1,10 +1,11 @@
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import pytest
 
 from motivecalc import (
     Atlas,
+    AtlasEntry,
     IdentityError,
     NormalForm,
     blow_up,
@@ -193,10 +194,7 @@ class TestTorsion:
 
     def test_forced_unknown_propagates(self, monkeypatch):
         # only the Hilb2(K3) entry is untrusted: the K3 itself stays free
-        build = atlas.hilb2_surface
-        monkeypatch.setattr(
-            atlas, "hilb2_surface", lambda *args: replace(build(*args), torsion_free=False)
-        )
+        monkeypatch.setattr(atlas, "hilb2_surface", untrusted(atlas.hilb2_surface))
         cert = torsion_report(GMScenario())
         assert cert["atoms"] == {"B": FREE, "Y": FREE, "Hilb2QY": UNKNOWN}
         assert cert["conclusion"] == UNKNOWN
@@ -208,14 +206,21 @@ class TestTorsion:
         assert untrusted_atoms(monkeypatch, "quadric") == {"B"}
 
 
+def untrusted(build):
+    """The atlas constructor build, its entries rebuilt as not torsion-free."""
+
+    def flipped(*args):
+        e = build(*args)
+        return AtlasEntry(e.name, e.diamond, False, e.provenance, e.cells)
+
+    return flipped
+
+
 def untrusted_atoms(monkeypatch, builtin):
     """Mark one atlas entry as not torsion-free and return the atoms of the
     full report whose status became unknown; the conclusion must follow.
     The flag is read off the atlas entry, and Hilb2(K3) inherits the K3's."""
-    build = getattr(atlas, builtin)
-    monkeypatch.setattr(
-        atlas, builtin, lambda *args: replace(build(*args), torsion_free=False)
-    )
+    monkeypatch.setattr(atlas, builtin, untrusted(getattr(atlas, builtin)))
     torsion = full_report(GMScenario())["torsion"]
     assert torsion["conclusion"] == UNKNOWN
     return {a for a, status in torsion["atoms"].items() if status == UNKNOWN}

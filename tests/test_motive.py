@@ -128,10 +128,9 @@ class TestNodes:
         assert k3.name == "K3"
 
     def test_copy_and_pickle_rebuild_equal_nodes(self):
-        # a TatePolynomial itself is neither deep-copied nor pickled
         twisted = TensorTwist(Atom("B"), ladder(0, 2))
         assert copy.copy(twisted) == twisted and copy.copy(twisted).twist is twisted.twist
-        tree = Sum((Atom("K3"), Sum((Atom("B"),))))
+        tree = Sum((Atom("K3"), Sum((Atom("B"),)), twisted))
         for clone in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
             assert clone == tree and type(clone.children[1]) is Sum
 
