@@ -15,7 +15,7 @@ from .motive import MotiveAtom, NotASummandError, dim_of, normalize, solve_tenso
 from .hodge import HodgeDiamond, realize_hodge
 from .atlas import Atlas, AtlasEntry, diagonal
 from .dsl import DslError, Parser, print_twist
-from .gm import SCENARIO_DIMS, GMScenario, full_report, verify_identity
+from .gm import ATOMS, GMScenario, full_report, verify_identity
 
 SCHEMA = "motive-calc/1"
 
@@ -101,12 +101,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, parents=[common], help=hlp)
         p.add_argument("expr", help="DSL expression, or - for stdin")
+        p.set_defaults(run=_cmd_expr)
     p = sub.add_parser("solve", parents=[common], help="solve N*m1 + m2 = rhs for N")
+    p.set_defaults(run=_cmd_solve)
     p.add_argument("m1", help="twist polynomial, e.g. '1 + 2L + L^2'")
     p.add_argument("m2", help="DSL expression for the common summand")
     p.add_argument("rhs", help="DSL expression for the right-hand side")
-    sub.add_parser("verify-gm6", parents=[common], help="run the sixfold pipeline")
-    sub.add_parser("atlas-dump", parents=[common], help="dump all atlas entries as JSON")
+    verify = sub.add_parser("verify-gm6", parents=[common], help="run the sixfold pipeline")
+    verify.set_defaults(run=_cmd_verify)
+    dump = sub.add_parser("atlas-dump", parents=[common], help="dump all atlas entries as JSON")
+    dump.set_defaults(run=_cmd_atlas_dump)
     return ap
 
 
@@ -129,10 +133,8 @@ def _cmd_expr(args, atlas: Atlas) -> int:
         b = list(diamond.betti())
         _emit(args, {"betti": b}, " ".join(map(str, b)))
         return 0
-    if args.command == "euler":
-        _emit(args, {"euler": diamond.euler()}, str(diamond.euler()))
-        return 0
-    raise AssertionError(args.command)
+    _emit(args, {"euler": diamond.euler()}, str(diamond.euler()))
+    return 0
 
 
 def _cmd_solve(args, atlas: Atlas) -> int:
@@ -156,7 +158,7 @@ def _cmd_solve(args, atlas: Atlas) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, atlas: Atlas) -> int:
     s = GMScenario()
     if args.json:
         report = full_report(s)
@@ -179,39 +181,34 @@ def _cmd_verify(args) -> int:
         print(f"Euler characteristic: {diamond.euler()}")
         for name, status in sorted(cert["atoms"].items()):
             print(f"torsion of {name}: {status}")
-    alias = {"B": "Q(6)", "Y": "K3"}
-    terms = [(alias.get(n, n), nf.coefficient(n)) for n in nf.atoms()]
+    terms = [(ATOMS[n].spelling, nf.coefficient(n)) for n in nf.atoms()]
     solution = " + ".join(a if p == ONE else f"{a}*{print_twist(p)}" for a, p in terms)
     print(f"identity: OK; M(X) = {solution}; torsion: {cert['conclusion'].upper()}")
+    return 0
+
+
+def _cmd_atlas_dump(args, atlas: Atlas) -> int:
+    # make the dump useful even with an empty session
+    atlas.projective_space(4)
+    atlas.quadric(6)
+    atlas.grassmannian(2, 5)
+    atlas.k3()
+    atlas.hilb2("K3")
+    print(json.dumps({"schema": SCHEMA, "entries": atlas.dump()}, sort_keys=True))
     return 0
 
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     atlas = Atlas()
-    # atoms of the sixfold scenario, usable by name in expressions
-    for name in ("Hilb2QY", "X"):
-        atlas.registry.register(MotiveAtom(name, SCENARIO_DIMS[name]))
+    # the sixfold atoms with no DSL spelling are usable by their own names
+    for name, atom in ATOMS.items():
+        if atom.spelling is None:
+            atlas.registry.register(MotiveAtom(name, atom.dim))
     try:
         if args.atlas:
             _load_extra_atlas(atlas, args.atlas)
-        if args.command in ("normalize", "hodge", "betti", "euler", "dim"):
-            return _cmd_expr(args, atlas)
-        if args.command == "solve":
-            return _cmd_solve(args, atlas)
-        if args.command == "verify-gm6":
-            return _cmd_verify(args)
-        if args.command == "atlas-dump":
-            # make the dump useful even with an empty session
-            atlas.projective_space(4)
-            atlas.quadric(6)
-            atlas.grassmannian(2, 5)
-            atlas.k3()
-            atlas.hilb2("K3")
-            payload = atlas.dump()
-            print(json.dumps({"schema": SCHEMA, "entries": payload}, sort_keys=True))
-            return 0
-        raise AssertionError(args.command)
+        return args.run(args, atlas)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,7 @@ torsion-freeness certificate.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass, replace
 
 from .tatepoly import ONE, Frozen, L
@@ -42,13 +43,30 @@ FREE = "free"
 UNKNOWN = "unknown"
 
 
-# dimensions of the atoms of the sixfold construction, the unknown X included
-SCENARIO_DIMS = {"B": 6, "Y": 2, "Hilb2QY": 3, "X": 6}
+# an atom of the sixfold construction: dimension, torsion flag (None for the
+# unknown X) and, for an atom of the answer, its atlas entry and DSL spelling
+ScenarioAtom = collections.namedtuple("ScenarioAtom", "dim torsion_free entry spelling")
 
-# what every blow-up gate of the construction checks; never written after import
+
+def _scenario_atoms() -> dict[str, ScenarioAtom]:
+    """B is the quadric Q6 and Y the K3 surface, each read off its atlas entry.
+    Hilb2QY, a smooth ample divisor in Hilb2(K3), takes that entry's torsion
+    flag: by Lefschetz and universal coefficients its integral cohomology is
+    torsion-free whenever the ambient one is."""
+    q6, k3 = atlas.quadric(6), atlas.k3()
+    return {
+        "B": ScenarioAtom(q6.diamond.n, q6.torsion_free, q6, "Q(6)"),
+        "Y": ScenarioAtom(k3.diamond.n, k3.torsion_free, k3, "K3"),
+        "Hilb2QY": ScenarioAtom(3, atlas.hilb2_surface(k3).torsion_free, None, None),
+        "X": ScenarioAtom(6, None, None, None),
+    }
+
+
+# built once at import and never written after; the blow-up gates check REGISTRY
+ATOMS = _scenario_atoms()
 REGISTRY = AtomRegistry()
-for _name, _dim in SCENARIO_DIMS.items():
-    REGISTRY.register(MotiveAtom(_name, _dim))
+for _name, _atom in ATOMS.items():
+    REGISTRY.register(MotiveAtom(_name, _atom.dim))
 
 
 @dataclass
@@ -80,7 +98,7 @@ class GMScenario:
 
     @property
     def ambient_dim(self) -> int:
-        return SCENARIO_DIMS["B"] + self.pv5_dim
+        return ATOMS["B"].dim + self.pv5_dim
 
     def validate(self) -> None:
         """Check declared codimensions against the expected-codimension
@@ -106,7 +124,7 @@ class GMScenario:
             f"corank-3 codim {c3} > ambient dim {self.ambient_dim}: locus empty",
         )
         expect(
-            self.ambient_dim - self.codim_d2 == SCENARIO_DIMS["Hilb2QY"] + self.d2_fiber,
+            self.ambient_dim - self.codim_d2 == ATOMS["Hilb2QY"].dim + self.d2_fiber,
             "corank-2 locus dimension matches its fibration over the divisor",
         )
 
@@ -165,6 +183,10 @@ class Derivation(Frozen):
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "error", error)
 
+    def _key(self) -> tuple:
+        # the message carries the error's text; exceptions compare by identity
+        return self.ok, self.message, self.lhs, self.rhs
+
     def sides(self) -> tuple[NormalForm, NormalForm]:
         """The normalized lhs and rhs if the identity holds; else raises its failure."""
         if not self.ok:
@@ -185,16 +207,15 @@ class Derivation(Frozen):
         says torsion-free, else UNKNOWN."""
         lhs, rhs = self.sides()
         unit = lhs.coefficient("X").coefficient(0) >= 1
-        flags = torsion_flags()
-        atoms = {name: FREE if flags[name] else UNKNOWN for name in rhs.atoms()}
+        atoms = {name: FREE if ATOMS[name].torsion_free else UNKNOWN for name in rhs.atoms()}
         conclusion = FREE if unit and UNKNOWN not in atoms.values() else UNKNOWN
         return {"unit_embedding": unit, "atoms": atoms, "conclusion": conclusion}
 
     def answer(self) -> tuple[Solved, HodgeDiamond, dict]:
         """The solved M(X), its Hodge diamond and its torsion certificate."""
         solved = self.solve()
-        diamond = realize_hodge(solved.normal_form, realization_table())
-        return solved, diamond, self.torsion()
+        table = {name: a.entry.diamond for name, a in ATOMS.items() if a.entry is not None}
+        return solved, realize_hodge(solved.normal_form, table), self.torsion()
 
 
 def verify_identity(s: GMScenario) -> Derivation:
@@ -224,25 +245,6 @@ def verify_identity(s: GMScenario) -> Derivation:
 def solve_mx(s: GMScenario) -> Solved:
     """The normal form of X solved from the scenario's identity."""
     return verify_identity(s).solve()
-
-
-def realization_table() -> dict[str, HodgeDiamond]:
-    """Hodge diamonds of the atoms of the answer: B is the quadric Q6 and Y
-    the K3 surface, both built by the atlas constructors."""
-    return {"B": atlas.quadric(6).diamond, "Y": atlas.k3().diamond}
-
-
-def torsion_flags() -> dict[str, bool]:
-    """Torsion-freeness of the building blocks, read off the atlas
-    constructors' entries: B is the quadric Q6 and Y the K3 surface.
-    Hilb2QY takes the flag of Hilb2(K3): it is a smooth ample divisor there,
-    so by Lefschetz and universal coefficients its integral cohomology is
-    torsion-free whenever the ambient one is."""
-    return {
-        "B": atlas.quadric(6).torsion_free,
-        "Y": atlas.k3().torsion_free,
-        "Hilb2QY": atlas.hilb2_surface(atlas.k3()).torsion_free,
-    }
 
 
 def torsion_report(s: GMScenario) -> dict:

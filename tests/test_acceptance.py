@@ -35,6 +35,7 @@ from motivecalc import (
 from motivecalc.dsl import Parser
 from motivecalc.formulas import projective_fibration
 from motivecalc.gm import (
+    ATOMS,
     FREE,
     REGISTRY,
     GMScenario,
@@ -44,9 +45,7 @@ from motivecalc.gm import (
     build_lhs,
     build_rhs,
     perturbed,
-    realization_table,
     solve_mx,
-    torsion_flags,
     torsion_report,
     verify_identity,
 )
@@ -65,6 +64,8 @@ P = Parser(Atlas()).parse_polynomial
 
 M1 = P("1 + 2L + 2L^2 + 2L^3 + L^4")
 M2_TWIST = P("L + 3L^2 + 5L^3 + 5L^4 + 3L^5 + L^6")
+# the answer atoms' diamonds, read off their atlas entries as Derivation.answer does
+DIAMONDS = {name: ATOMS[name].entry.diamond for name in ("B", "Y")}
 
 
 def ok(n, label):
@@ -94,7 +95,7 @@ def test_criterion_3_solve_and_diamond():
     s = GMScenario()
     solved = solve_mx(s).normal_form
     assert solved == NormalForm({"B": ONE, "Y": P("L^2")})
-    d = realize_hodge(solved, realization_table())
+    d = realize_hodge(solved, DIAMONDS)
     expected = {(p, p): 1 for p in range(7)}
     expected[(3, 3)] = 22
     expected[(2, 2)] = expected[(4, 4)] = 2
@@ -107,7 +108,7 @@ def test_criterion_3_solve_and_diamond():
 
 def test_criterion_4_derived_numerics():
     s = GMScenario()
-    d = realize_hodge(solve_mx(s).normal_form, realization_table())
+    d = realize_hodge(solve_mx(s).normal_form, DIAMONDS)
     assert d.betti() == (1, 0, 1, 0, 2, 0, 24, 0, 2, 0, 1, 0, 1)
     assert d.euler() == 32
     from motivecalc import quadric
@@ -122,7 +123,8 @@ def test_criterion_5_torsion_certificate():
     assert cert["conclusion"] == FREE
     assert cert["unit_embedding"]
     assert set(cert["atoms"].values()) == {FREE}
-    assert torsion_flags() == {"B": True, "Y": True, "Hilb2QY": True}
+    flags = {name: a.torsion_free for name, a in ATOMS.items()}
+    assert flags == {"B": True, "Y": True, "Hilb2QY": True, "X": None}
     ok(5, "torsion certificate")
 
 
@@ -208,7 +210,7 @@ class TestCriterion8PropertySuites:
         diamonds.append(hilb2_surface(k3()).diamond)
         # a P^2-bundle over a K3: K3 * (1 + L + L^2)
         diamonds.append(realize_hodge(NormalForm({"K3": ladder(0, 2)}), {"K3": k3().diamond}))
-        diamonds.append(realize_hodge(solve_mx(s).normal_form, realization_table()))
+        diamonds.append(realize_hodge(solve_mx(s).normal_form, DIAMONDS))
         for d in diamonds:
             assert check_symmetries(d)
 
@@ -279,7 +281,7 @@ def test_criterion_9_negative_controls():
 
 
 def test_every_built_rhs_has_a_torsion_flag_per_atom():
-    # Derivation.torsion reads torsion_flags()[name] for each atom of the rhs
+    # Derivation.torsion reads ATOMS[name].torsion_free for each atom of the rhs
     s = GMScenario()
     sweep = [s, perturbed(s, px_fiber=2, ux_fiber=2)]
     sweep += [
@@ -290,4 +292,4 @@ def test_every_built_rhs_has_a_torsion_flag_per_atom():
     built = [d for d in map(verify_identity, sweep) if d.rhs is not None]
     assert len(built) >= 2
     for d in built:
-        assert set(d.rhs.atoms()) <= set(torsion_flags())
+        assert all(ATOMS[name].torsion_free is not None for name in d.rhs.atoms())

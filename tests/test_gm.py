@@ -27,17 +27,19 @@ from motivecalc.gm import (
     expected_mx,
     full_report,
     perturbed,
-    realization_table,
     solve_mx,
-    torsion_flags,
     torsion_report,
     verify_identity,
 )
+from motivecalc.cli import main
 from motivecalc.dsl import Parser
 from motivecalc.formulas import projective_fibration
 from motivecalc.motive import Atom
 
 P = Parser(Atlas()).parse_polynomial
+ATOMS_AT_IMPORT = dict(gm.ATOMS)
+# the answer atoms' diamonds, read off their atlas entries as Derivation.answer does
+DIAMONDS = {name: gm.ATOMS[name].entry.diamond for name in ("B", "Y")}
 
 M1 = P("1 + 2L + 2L^2 + 2L^3 + L^4")
 M2_TWIST = P("L + 3L^2 + 5L^3 + 5L^4 + 3L^5 + L^6")
@@ -161,7 +163,7 @@ class TestSolve:
         assert solved.scale(m1) + m2 == RHS_EXPECTED
 
     def test_realized_diamond(self, scenario):
-        d = realize_hodge(solve_mx(scenario).normal_form, realization_table())
+        d = realize_hodge(solve_mx(scenario).normal_form, DIAMONDS)
         assert d.hodge(3, 3) == 22
         assert d.betti() == (1, 0, 1, 0, 2, 0, 24, 0, 2, 0, 1, 0, 1)
         assert d.euler() == 32
@@ -169,7 +171,7 @@ class TestSolve:
     def test_diamond_is_quadric_plus_twisted_k3_entrywise(self, scenario):
         from motivecalc import k3, quadric
 
-        d = realize_hodge(solve_mx(scenario).normal_form, realization_table())
+        d = realize_hodge(solve_mx(scenario).normal_form, DIAMONDS)
         q6, s = quadric(6).diamond, k3().diamond
         for p in range(7):
             for q in range(7):
@@ -190,11 +192,13 @@ class TestTorsion:
         assert cert == full_report(scenario)["torsion"]
 
     def test_hilb_profile_shape(self, scenario):
-        assert torsion_flags() == {"B": True, "Y": True, "Hilb2QY": True}
+        flags = {name: a.torsion_free for name, a in gm.ATOMS.items()}
+        assert flags == {"B": True, "Y": True, "Hilb2QY": True, "X": None}
 
     def test_forced_unknown_propagates(self, monkeypatch):
         # only the Hilb2(K3) entry is untrusted: the K3 itself stays free
         monkeypatch.setattr(atlas, "hilb2_surface", untrusted(atlas.hilb2_surface))
+        monkeypatch.setattr(gm, "ATOMS", gm._scenario_atoms())
         cert = torsion_report(GMScenario())
         assert cert["atoms"] == {"B": FREE, "Y": FREE, "Hilb2QY": UNKNOWN}
         assert cert["conclusion"] == UNKNOWN
@@ -219,8 +223,10 @@ def untrusted(build):
 def untrusted_atoms(monkeypatch, builtin):
     """Mark one atlas entry as not torsion-free and return the atoms of the
     full report whose status became unknown; the conclusion must follow.
-    The flag is read off the atlas entry, and Hilb2(K3) inherits the K3's."""
+    The flag is read off the atlas entry, and Hilb2(K3) inherits the K3's;
+    the table of atoms is rebuilt from the patched constructors."""
     monkeypatch.setattr(atlas, builtin, untrusted(getattr(atlas, builtin)))
+    monkeypatch.setattr(gm, "ATOMS", gm._scenario_atoms())
     torsion = full_report(GMScenario())["torsion"]
     assert torsion["conclusion"] == UNKNOWN
     return {a for a, status in torsion["atoms"].items() if status == UNKNOWN}
@@ -247,8 +253,20 @@ def test_derivations_leave_the_registry_alone():
         for step in (-1, 1):
             full_report(perturbed(s, **{f.name: getattr(s, f.name) + step}))
     assert "P4" not in gm.REGISTRY
-    for name, dim in gm.SCENARIO_DIMS.items():
-        assert gm.REGISTRY.dim(name) == dim
+    for name, atom in gm.ATOMS.items():
+        assert gm.REGISTRY.dim(name) == atom.dim
+    assert gm.ATOMS == ATOMS_AT_IMPORT
+
+
+def test_the_report_builds_no_atlas_entry(monkeypatch, capsys):
+    # the answer atoms' entries are built once, when gm is imported
+    def refuse(self, *args):
+        raise AssertionError("an atlas entry was built")
+
+    monkeypatch.setattr(AtlasEntry, "__init__", refuse)
+    assert full_report(GMScenario())["identity_ok"]
+    assert main(["verify-gm6"]) == 0
+    assert capsys.readouterr().out.endswith("torsion: FREE\n")
 
 
 class TestScenarioValidation:

@@ -27,6 +27,7 @@ import math
 from fractions import Fraction
 
 import motivecalc.gm as gm
+from motivecalc.atlas import AtlasEntry
 from motivecalc.hodge import HodgeDiamond
 
 N = 5  # G = Gr(2, N)
@@ -262,17 +263,11 @@ def test_report_matches_the_oracle():
 
 def test_oracle_rejects_a_wrong_k3(monkeypatch):
     # Y's h^{1,1} = 19 instead of 20: b6 drops to 23, chi to 31 and h^{3,3} to 21
-    build = gm.realization_table
-
-    def wrong_k3():
-        table = build()
-        y = table["Y"]
-        h = {(p, q): v for p, q, v in y.entries()}
-        h[1, 1] = 19
-        table["Y"] = HodgeDiamond(y.n, h)
-        return table
-
-    monkeypatch.setattr(gm, "realization_table", wrong_k3)
+    y = gm.ATOMS["Y"].entry
+    h = {(p, q): v for p, q, v in y.diamond.entries()}
+    h[1, 1] = 19
+    wrong = AtlasEntry(y.name, HodgeDiamond(y.diamond.n, h), y.torsion_free, y.provenance)
+    monkeypatch.setitem(gm.ATOMS, "Y", gm.ATOMS["Y"]._replace(entry=wrong))
     got = target()
     assert (got["betti"][DIM], got["euler"]) == (23, 31)
     assert [3, 3, 21] in got["hodge"]

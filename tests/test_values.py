@@ -14,6 +14,7 @@ from motivecalc import (
     TensorTwist,
     k3,
     ladder,
+    perturbed,
     projective_space,
     solve_mx,
     verify_identity,
@@ -29,6 +30,18 @@ VALUES = [
     pytest.param(lambda: projective_space(4), True, id="AtlasEntry-cellular"),
     pytest.param(k3, True, id="AtlasEntry-non-cellular"),
     pytest.param(lambda: verify_identity(GMScenario()), False, id="Derivation"),
+    # failed derivations: a construction failure keeps its exception, which
+    # equality skips; a failed comparison keeps both normal forms
+    pytest.param(
+        lambda: verify_identity(perturbed(GMScenario(), codim_d2=5)),
+        True,
+        id="Derivation-construction-failed",
+    ),
+    pytest.param(
+        lambda: verify_identity(perturbed(GMScenario(), px_fiber=2, ux_fiber=2)),
+        False,
+        id="Derivation-forms-differ",
+    ),
     pytest.param(lambda: Atom("K3"), True, id="Atom"),
     pytest.param(lambda: Sum((Atom("K3"), Sum((Atom("B"),)))), True, id="Sum"),
     pytest.param(lambda: TensorTwist(Atom("B"), ladder(0, 2)), True, id="TensorTwist"),
