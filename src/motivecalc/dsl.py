@@ -23,7 +23,7 @@ import collections
 import re
 import sys
 
-from .tatepoly import ONE, TatePolynomial
+from .tatepoly import ONE, TatePolynomial, ladder
 from .motive import Atom, MotiveExpr, Sum, TensorTwist
 from .atlas import Atlas
 from .formulas import blow_up, kunneth, projective_bundle, projective_fibration
@@ -245,7 +245,7 @@ class Parser:
     def _twist(self) -> TatePolynomial:
         if self._accept("L"):
             k = self._exponent()
-            return TatePolynomial({k: 1}) if k else ONE
+            return ladder(k, k)
         if self._accept("("):
             poly = self._polynomial()
             self._expect(")")

@@ -7,6 +7,7 @@ never negative; cancellation is only available as exact division.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping
 
@@ -60,7 +61,7 @@ def gaussian_binomial(n: int, k: int) -> TatePolynomial:
     for m in range(1, n + 1):
         # [m, j] = [m-1, j-1] + L^j [m-1, j], where [m-1, j] = 0 for j >= m
         row = [1] + [row[j - 1] + (row[j] << 8 * w * j) for j in range(1, k + 1)]
-    return TatePolynomial(_unpack(row[k], w))
+    return _unchecked(_unpack(row[k], w))
 
 
 class Frozen:
@@ -155,7 +156,7 @@ class TatePolynomial(Frozen):
         out = dict(self._coeffs)
         for k, a in other._coeffs.items():
             out[k] = out.get(k, 0) + a
-        return TatePolynomial(out)
+        return _unchecked(out)
 
     def __mul__(self, other: "TatePolynomial") -> "TatePolynomial":
         if not isinstance(other, TatePolynomial):
@@ -164,12 +165,12 @@ class TatePolynomial(Frozen):
         if pairs > MAX_PAIRS:
             raise ValueError(f"twist product of {pairs} term pairs exceeds {MAX_PAIRS}")
         if _dense(self._coeffs) and _dense(other._coeffs):
-            return TatePolynomial(_packed_product(self._coeffs, other._coeffs))
+            return _unchecked(_packed_product(self._coeffs, other._coeffs))
         out: dict[int, int] = {}
         for k1, a1 in self._coeffs.items():
             for k2, a2 in other._coeffs.items():
                 out[k1 + k2] = out.get(k1 + k2, 0) + a1 * a2
-        return TatePolynomial(out)
+        return _unchecked(out)
 
     def __pow__(self, n: int) -> "TatePolynomial":
         if n < 0:
@@ -205,10 +206,8 @@ class TatePolynomial(Frozen):
             # need not be one in N[L], so the rest is multiplied back
             if r or _packed_product(quot := _unpack(n, w, p_lo - d_lo), dc) != p:
                 raise NotDivisibleError(f"{self} is not divisible by {d}")
-            return TatePolynomial(quot)
-        rem = dict(p)
-        quot = {}
-        d_lo = min(dc)
+            return _unchecked(quot)
+        rem, quot, d_lo = dict(p), {}, min(dc)
         d_lo_c = dc[d_lo]
         # a write to a degree the dividend lacks goes negative and raises, so
         # the dividend's own degrees, in increasing order, are every lowest term
@@ -226,7 +225,7 @@ class TatePolynomial(Frozen):
                 if nv < 0:
                     raise NotDivisibleError(f"{self} is not divisible by {d}")
                 rem[k + shift] = nv
-        return TatePolynomial(quot)
+        return _unchecked(quot)
 
     # -- rendering ---------------------------------------------------------
 
@@ -251,6 +250,19 @@ ONE = TatePolynomial({0: 1})
 L = TatePolynomial({1: 1})  # the Tate class; L ** k is the monomial L^k
 
 
+def _unchecked(clean: dict[int, int]) -> TatePolynomial:
+    """The value over clean, a fresh result of this module: int degrees >= 0 to ints > 0."""
+    object.__setattr__(p := object.__new__(TatePolynomial), "_coeffs", clean)
+    return p
+
+
+@functools.lru_cache(maxsize=64)
+def _ladder(lo: int, hi: int) -> TatePolynomial:
+    return _unchecked(dict.fromkeys(range(lo, hi + 1), 1))
+
+
 def ladder(lo: int, hi: int) -> TatePolynomial:
-    """L^lo + L^(lo+1) + ... + L^hi (zero when the range is empty)."""
-    return TatePolynomial({k: 1 for k in range(lo, hi + 1)})
+    """L^lo + ... + L^hi (zero if empty); the last 64 of <= MAX_DIM + 1 terms are shared."""
+    if lo < 0 <= hi - lo:
+        raise ValueError(f"negative exponent {lo}")
+    return (_ladder if hi - lo <= MAX_DIM else _ladder.__wrapped__)(lo, hi)

@@ -85,6 +85,15 @@ class TestParse:
         assert normalize(a) == normalize(b)
 
 
+def test_terms_share_their_twist_constants(monkeypatch):
+    # every PB, Bl and L^k reads a shared ladder, so the checking constructor
+    # runs at most once per atlas entry the program names, not once per term
+    checked, init = [], TatePolynomial.__init__
+    monkeypatch.setattr(TatePolynomial, "__init__", lambda p, c: checked.append(c) or init(p, c))
+    e = Parser(Atlas()).parse(" + ".join(["PB(P(3), 2) * L^5 + Bl(P(6), P(2), 4)"] * 100))
+    assert len(e.children) == 200 and len(checked) <= 3
+
+
 class TestErrors:
     @pytest.mark.parametrize(
         "text, line, col",

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from motivecalc import ONE, ZERO, Atlas, L, NotDivisibleError, TatePolynomial, ladder
 import motivecalc.tatepoly as tatepoly
-from motivecalc.tatepoly import _dense
+from motivecalc.tatepoly import MAX_DIM, _dense, gaussian_binomial
 
 from motivecalc.dsl import Parser
 
@@ -258,6 +258,72 @@ class TestWorkBounds:
             (far * ladder(0, 40)).div_exact(ladder(0, 20))
         assert (far * ladder(0, 41)).div_exact(ladder(0, 20)) == far * (ONE + L**21)
         assert perf_counter() - start < 1
+
+
+class TestSharedLadders:
+    def test_a_ladder_is_built_once(self):
+        assert ladder(0, 3) is ladder(0, 3)
+        assert ladder(0, 3) == TatePolynomial({0: 1, 1: 1, 2: 1, 3: 1})
+
+    def test_at_most_64_ladders_are_kept(self):
+        built = [ladder(7, 7 + n) for n in range(200)]
+        # asked for again newest first, so a hit never evicts one still to come
+        kept = sum(ladder(7, 7 + n) is built[n] for n in reversed(range(200)))
+        assert kept == 64
+        assert tatepoly._ladder.cache_info().currsize <= 64
+
+    def test_a_ladder_too_long_to_keep_is_rebuilt(self):
+        # so the kept ladders hold at most 64 * (MAX_DIM + 1) terms
+        assert ladder(0, MAX_DIM) is ladder(0, MAX_DIM)
+        assert ladder(0, MAX_DIM + 1) is not ladder(0, MAX_DIM + 1)
+        assert ladder(0, 5000) is not ladder(0, 5000)
+        assert ladder(0, 5000) == TatePolynomial(dict.fromkeys(range(5001), 1))
+
+    def test_a_shared_ladder_hands_out_copies(self):
+        ladder(0, 3).coeffs[9] = 1
+        assert ladder(0, 3).coeffs == {0: 1, 1: 1, 2: 1, 3: 1}
+
+    def test_negative_start_refused(self):
+        with pytest.raises(ValueError, match="^negative exponent -1$"):
+            ladder(-1, 3)
+        assert ladder(-3, -4) == ZERO
+
+    def test_parsed_twist_is_shared(self):
+        parse = Parser(Atlas()).parse
+        first, again = parse("P(2) * L^5"), parse("P(2) * L^5")
+        assert first.twist is again.twist is ladder(5, 5)
+
+
+def assert_checked(p: TatePolynomial) -> None:
+    """p holds what the checking constructor would build from its terms:
+    int degrees >= 0 to int coefficients > 0."""
+    c = p.coeffs
+    assert type(p) is TatePolynomial
+    assert all(type(k) is int and k >= 0 and type(a) is int and a > 0 for k, a in c.items())
+    assert p == TatePolynomial(c)
+
+
+class TestUncheckedResults:
+    """tatepoly builds its own results without the constructor's checks."""
+
+    @PACKED
+    @given(st.one_of(DENSE, SPARSE), st.one_of(DENSE, SPARSE.filter(bool)))
+    def test_arithmetic(self, p, d):
+        num = p * d
+        for result in (p + d, num, p**3, d**2, num.div_exact(d)):
+            assert_checked(result)
+
+    @PACKED
+    @given(DENSE, DENSE)
+    def test_packed_quotient(self, p, d):
+        assert _dense((p * d).coeffs)
+        assert_checked((p * d).div_exact(d))
+
+    @given(st.integers(0, 40), st.integers(0, 40))
+    def test_constants(self, n, k):
+        assert_checked(ladder(k, n))
+        if k <= n:
+            assert_checked(gaussian_binomial(n, k))
 
 
 class TestEvalAtOne:

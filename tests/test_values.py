@@ -11,6 +11,7 @@ from motivecalc import (
     Atom,
     NormalForm,
     Sum,
+    TatePolynomial,
     TensorTwist,
     k3,
     ladder,
@@ -25,6 +26,8 @@ from motivecalc.tatepoly import ONE, L
 # (build, hashable): NormalForm is unhashable, and so is a value holding one
 VALUES = [
     pytest.param(lambda: ladder(0, 3) + L**7, True, id="TatePolynomial"),
+    # the memo's one shared value: its clones are fresh, equal values
+    pytest.param(lambda: ladder(0, 3), True, id="ladder-shared"),
     pytest.param(lambda: NormalForm({"K3": ladder(0, 2), "B": ONE}), False, id="NormalForm"),
     pytest.param(lambda: k3().diamond, True, id="HodgeDiamond"),
     pytest.param(lambda: projective_space(4), True, id="AtlasEntry-cellular"),
@@ -73,3 +76,11 @@ def test_fields_are_read_only(build, hashable):
     else:
         with pytest.raises(TypeError):
             hash(value)
+
+
+def test_the_public_constructor_copies_its_input():
+    terms = {0: 1, 2: 3}
+    p = TatePolynomial(terms)
+    terms[0], terms[7] = 5, 1
+    del terms[2]
+    assert p == TatePolynomial({0: 1, 2: 3})
