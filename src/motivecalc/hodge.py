@@ -134,9 +134,9 @@ def realize_hodge(
         raise ValueError(f"top weight {n} exceeds the Hodge realization cap {MAX_DIM}")
     h: dict[tuple[int, int], int] = {}
     for name in nf.atoms():
-        d = table[name]
+        entries = table[name].entries()
         for k, a in nf.coefficient(name).items():
-            for p, q, v in d.entries():
+            for p, q, v in entries:
                 key = (p + k, q + k)
                 h[key] = h.get(key, 0) + a * v
     return HodgeDiamond(n, h)

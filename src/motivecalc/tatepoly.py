@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
+from array import array
 from collections.abc import Mapping
 
 # largest dimension or top weight the package builds or realizes: ladders,
@@ -27,24 +29,46 @@ def _dense(c: dict[int, int]) -> bool:
     return len(c) >= 16 and max(c) - min(c) < 4 * len(c)
 
 
+# the unsigned array typecode of each machine width: digits of these widths
+# convert at C speed; the packed int is little-endian on any host
+_CODES = {array(t).itemsize: t for t in "BHILQ"}
+
+
+def _width(top: int) -> int:
+    """Bytes a digit up to top takes: the least array width that holds it, else exact."""
+    w = (top.bit_length() + 7) // 8
+    return min((s for s in _CODES if s >= w), default=w)
+
+
 def _pack(c: dict[int, int], w: int) -> tuple[int, int]:
     """(lo, n): degrees lo = min(c) .. max(c) of c as the w-byte digits of n."""
     lo = min(c)
-    digits = [c.get(k, 0).to_bytes(w, "little") for k in range(lo, max(c) + 1)]
-    return lo, int.from_bytes(b"".join(digits), "little")
+    if w not in _CODES:
+        digits = [c.get(k, 0).to_bytes(w, "little") for k in range(lo, max(c) + 1)]
+        return lo, int.from_bytes(b"".join(digits), "little")
+    a = array(_CODES[w], [0]) * (max(c) - lo + 1)
+    for k, v in c.items():
+        a[k - lo] = v
+    if sys.byteorder == "big":
+        a.byteswap()
+    return lo, int.from_bytes(a, "little")
 
 
 def _unpack(n: int, w: int, lo: int = 0) -> dict[int, int]:
     """The nonzero w-byte digits of n, keyed by their place plus lo."""
-    b = n.to_bytes((n.bit_length() + 7) // 8, "little")
-    digits = (int.from_bytes(b[i : i + w], "little") for i in range(0, len(b), w))
+    b = n.to_bytes(-(-n.bit_length() // (8 * w)) * w, "little")  # whole digits
+    if w in _CODES:
+        digits = array(_CODES[w], b)
+        if sys.byteorder == "big":
+            digits.byteswap()
+    else:
+        digits = (int.from_bytes(b[i : i + w], "little") for i in range(0, len(b), w))
     return {lo + k: a for k, a in enumerate(digits) if a}
 
 
 def _packed_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """a * b as one int product; a coefficient sums at most min(len) pairs."""
-    top = max(a.values()) * max(b.values()) * min(len(a), len(b))
-    w = (top.bit_length() + 7) // 8
+    w = _width(max(a.values()) * max(b.values()) * min(len(a), len(b)))
     (lo_a, x), (lo_b, y) = _pack(a, w), _pack(b, w)
     return _unpack(x * y, w, lo_a + lo_b)
 
@@ -56,7 +80,7 @@ def gaussian_binomial(n: int, k: int) -> TatePolynomial:
         raise ValueError("need 0 <= k <= n")
     k = min(k, n - k)  # [n, k] = [n, n - k]; each row keeps columns 0..k only
     # row[j] packs [m, j] at w bytes a degree: its coefficients sum to comb(m, j) <= comb(n, k)
-    w = (math.comb(n, k).bit_length() + 7) // 8
+    w = _width(math.comb(n, k))
     row = [1] + [0] * k
     for m in range(1, n + 1):
         # [m, j] = [m-1, j-1] + L^j [m-1, j], where [m-1, j] = 0 for j >= m
@@ -199,12 +223,17 @@ class TatePolynomial(Frozen):
             top = max(p.values())
             if min(p) < min(dc) or max(dc.values()) > top:
                 raise NotDivisibleError(f"{self} is not divisible by {d}")
-            w = (top.bit_length() + 7) // 8
+            w = _width(top)
             (p_lo, x), (d_lo, y) = _pack(p, w), _pack(dc, w)
             n, r = divmod(x, y)
-            # a remainder refuses before any unpacking; an integer quotient
-            # need not be one in N[L], so the rest is multiplied back
-            if r or _packed_product(quot := _unpack(n, w, p_lo - d_lo), dc) != p:
+            if r:  # refused before any unpacking
+                raise NotDivisibleError(f"{self} is not divisible by {d}")
+            quot = _unpack(n, w, p_lo - d_lo)
+            # an integer quotient need not be one in N[L].  No coefficient of
+            # quot * d exceeds max(quot) * d(1): below 2^(8w) nothing carries,
+            # so quot * d and p are both the base-2^(8w) digits of x; past it,
+            # the product decides
+            if max(quot.values()) * sum(dc.values()) >> 8 * w and _packed_product(quot, dc) != p:
                 raise NotDivisibleError(f"{self} is not divisible by {d}")
             return _unchecked(quot)
         rem, quot, d_lo = dict(p), {}, min(dc)

@@ -18,8 +18,8 @@ def nonzero_tate_polys(**kw):
     return tate_polys(**kw)
 
 
-# coefficients at the edges of one and of eight packed bytes
-EDGE_COEFFS = (255, 256, 2**64 - 1, 2**64)
+# coefficients at the edges of one, two, four and eight packed bytes
+EDGE_COEFFS = (255, 256, 2**16 - 1, 2**16, 2**32 - 1, 2**32, 2**64 - 1, 2**64)
 
 
 def dense_tate_polys():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from motivecalc import ONE, ZERO, Atlas, L, NotDivisibleError, TatePolynomial, ladder
 import motivecalc.tatepoly as tatepoly
-from motivecalc.tatepoly import MAX_DIM, _dense, gaussian_binomial
+from motivecalc.tatepoly import MAX_DIM, _dense, _pack, _unpack, _width, gaussian_binomial
 
 from motivecalc.dsl import Parser
 
@@ -197,18 +197,83 @@ class TestPackedPath:
         assert (s * p).div_exact(p) == s
 
 
-class TestPackedRefusals:
-    def test_integer_multiple_that_is_no_product(self):
-        # 200 * (1 + ... + L^19) times (1 + ... + L^19), its carries done at
-        # one byte: the packed dividend is a multiple of the packed divisor,
-        # and the quotient 200 + 200L + ... unpacks, but it multiplies back
-        # to coefficients above 255
-        d = ladder(0, 19)
-        p = carried(d * TatePolynomial({0: 200}), d)
-        assert max(p.coeffs.values()) < 256 and at(p, 256) % at(d, 256) == 0
+def calls(monkeypatch, name: str) -> list:
+    """The argument tuples of every later call of tatepoly's function name."""
+    made, f = [], getattr(tatepoly, name)
+    monkeypatch.setattr(tatepoly, name, lambda *a: made.append(a) or f(*a))
+    return made
+
+
+def pack_reference(c: dict[int, int], w: int) -> int:
+    digits = (c.get(k, 0).to_bytes(w, "little") for k in range(min(c), max(c) + 1))
+    return int.from_bytes(b"".join(digits), "little")
+
+
+def unpack_reference(n: int, w: int, lo: int) -> dict[int, int]:
+    b = n.to_bytes((n.bit_length() + 7) // 8, "little")
+    digits = {lo + i // w: int.from_bytes(b[i : i + w], "little") for i in range(0, len(b), w)}
+    return {k: a for k, a in digits.items() if a}
+
+
+class TestDigitWidths:
+    def test_width_rounds_up_to_an_array_item(self):
+        # 1, 2, 4 and 8 bytes go through array; wider digits keep their exact width
+        table = {
+            1: 1, 255: 1, 256: 2, 2**16 - 1: 2, 2**16: 4, 2**24: 4, 2**32 - 1: 4,
+            2**32: 8, 2**40: 8, 2**64 - 1: 8, 2**64: 9, 2**72 - 1: 9, 2**72: 10, 2**128: 17,
+        }
+        assert {top: _width(top) for top in table} == table
+
+    @pytest.mark.parametrize("w", (1, 2, 3, 4, 5, 8, 9, 16))
+    @pytest.mark.parametrize("lo", (0, 10**12))
+    @pytest.mark.parametrize("last", ("one", "full"))
+    def test_pack_round_trip(self, w, lo, last):
+        # full digits, zero gaps, and a top digit that fills its width or
+        # leaves the int short of whole digits
+        full = 2 ** (8 * w) - 1
+        c = {lo: full, lo + 1: 1, lo + 4: 2 ** (8 * w - 1), lo + 5: full, lo + 9: 7}
+        c[lo + 12] = 1 if last == "one" else full
+        n = pack_reference(c, w)
+        assert _pack(c, w) == (lo, n)
+        assert _unpack(n, w, lo) == unpack_reference(n, w, lo) == c
+
+
+class TestCarryBound:
+    def test_cellular_quotient_is_not_multiplied_back(self, monkeypatch):
+        # the shape of a cellular cancellation: max(quot) * d(1) stays below
+        # 2^(8w), so the unpacked digits are the quotient with no product
+        n, d = gaussian_binomial(24, 12), ladder(0, 6) ** 4
+        p = n * d
         assert _dense(p.coeffs) and _dense(d.coeffs)
-        assert outcome(TatePolynomial.div_exact, p, d) == f"{p} is not divisible by {d}"
-        assert outcome(div_exact_reference, p, d) == f"{p} is not divisible by {d}"
+        made = calls(monkeypatch, "_packed_product")
+        assert p.div_exact(d) == n and made == []
+
+    def test_quotient_past_the_bound_is_multiplied_back(self, monkeypatch):
+        # 200 + L + ... + L^19 times 1 + ... + L^19 tops at 219, one byte;
+        # max(quot) * d(1) = 200 * 20 is past 2^8, so the product decides
+        q, d = TatePolynomial({0: 200}) + ladder(1, 19), ladder(0, 19)
+        p = q * d
+        assert max(p.coeffs.values()) < 256 and _dense(p.coeffs) and _dense(d.coeffs)
+        made = calls(monkeypatch, "_packed_product")
+        assert p.div_exact(d) == q and len(made) == 1
+
+
+class TestPackedRefusals:
+    def test_integer_multiple_that_is_no_product(self, monkeypatch):
+        # c * (1 + ... + L^hi) times (1 + ... + L^hi), its carries done at
+        # one byte: the packed dividend is a multiple of the packed divisor,
+        # and the quotient c + cL + ... unpacks, but it multiplies back to
+        # coefficients above 255.  At c = 31, hi = 15 the carry bound
+        # max(quot) * d(1) = 496 is just past 2^8
+        for c, hi in ((200, 19), (31, 15)):
+            d = ladder(0, hi)
+            p = carried(d * TatePolynomial({0: c}), d)
+            assert max(p.coeffs.values()) < 256 and at(p, 256) % at(d, 256) == 0
+            assert _dense(p.coeffs) and _dense(d.coeffs)
+            made = calls(monkeypatch, "_packed_product")
+            assert outcome(TatePolynomial.div_exact, p, d) == f"{p} is not divisible by {d}"
+            assert len(made) == 1
+            assert outcome(div_exact_reference, p, d) == f"{p} is not divisible by {d}"
 
     def test_three_term_integer_multiple(self):
         p, d = P("200 + 144L + 201L^2"), P("1 + L")
@@ -227,8 +292,7 @@ class TestPackedRefusals:
         # remainder, so no quotient is unpacked only to be thrown away
         p, d = ladder(0, 39) + L**5, ladder(0, 19)
         assert _dense(p.coeffs) and _dense(d.coeffs)
-        unpacked, unpack = [], tatepoly._unpack
-        monkeypatch.setattr(tatepoly, "_unpack", lambda *a: unpacked.append(a) or unpack(*a))
+        unpacked = calls(monkeypatch, "_unpack")
         with pytest.raises(NotDivisibleError) as exc:
             p.div_exact(d)
         assert str(exc.value) == f"{p} is not divisible by {d}" and unpacked == []
