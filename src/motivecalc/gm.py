@@ -10,7 +10,7 @@ torsion-freeness certificate.
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .tatepoly import ONE, Frozen, L
 from .motive import (
@@ -165,10 +165,10 @@ def expected_mx() -> NormalForm:
 
 
 class Derivation(Frozen):
-    """A scenario's one derivation pass: its facts validated, both sides
-    built and normalized once, and compared after substituting X -> B + Y*L^2.
-    Solving, realization and the torsion certificate all read the normal
-    forms ``lhs`` and ``rhs`` stored here.
+    """A scenario's one derivation pass: its facts validated, the lhs then the
+    rhs built, and only then both normalized once and compared after
+    substituting X -> B + Y*L^2. Solving, realization and the torsion
+    certificate all read the normal forms ``lhs`` and ``rhs`` stored here.
 
     A construction or validation failure is kept in ``error`` rather than
     raised, so perturbed scenarios can be probed; lhs and rhs are then None.
@@ -219,17 +219,17 @@ class Derivation(Frozen):
 
 
 def verify_identity(s: GMScenario) -> Derivation:
-    """Derive the scenario once: validate, build and normalize both sides,
-    and compare them after substituting X -> B + Y*L^2.
-
-    A gate's rejection (a scenario check, a blow-up dimension check or a bad
-    rank) is reported as a failed verification, not raised, so perturbed
-    scenarios can be probed; any other error propagates."""
+    """Derive the scenario once: validate, build the lhs, build the rhs, then
+    normalize both and compare them after substituting X -> B + Y*L^2. Every
+    gate (a scenario check, a blow-up dimension check or a bad rank) runs
+    before any normal form is built; its rejection is reported as a failed
+    verification, not raised, and any other error propagates."""
     try:
         s.validate()
-        lhs, rhs = (normalize(build_side(s)) for build_side in (build_lhs, build_rhs))
+        lhs, rhs = build_lhs(s), build_rhs(s)
     except (ScenarioError, DimensionMismatchError, InvalidRankError) as exc:
         return Derivation(False, f"construction failed: {exc}", error=exc)
+    lhs, rhs = normalize(lhs), normalize(rhs)
     substituted = lhs.substitute("X", expected_mx())
     if substituted == rhs:
         return Derivation(True, "identity holds", lhs, rhs)
@@ -254,7 +254,7 @@ def torsion_report(s: GMScenario) -> dict:
 
 def perturbed(s: GMScenario, **changes) -> GMScenario:
     """Copy of the scenario with some declared facts altered."""
-    return replace(s, **changes)
+    return GMScenario(**{**vars(s), **changes})
 
 
 def full_report(s: GMScenario) -> dict:

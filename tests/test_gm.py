@@ -34,8 +34,10 @@ from motivecalc.gm import (
 )
 from motivecalc.cli import main
 from motivecalc.dsl import Parser
-from motivecalc.formulas import projective_fibration
+from motivecalc.formulas import DimensionMismatchError, projective_fibration
 from motivecalc.motive import Atom
+
+from test_acceptance import REJECTING_GATE
 
 P = Parser(Atlas()).parse_polynomial
 ATOMS_AT_IMPORT = dict(gm.ATOMS)
@@ -278,6 +280,63 @@ def test_a_derivation_checks_only_its_normal_forms(monkeypatch):
     monkeypatch.setattr(TatePolynomial, "__init__", lambda p, c: checked.append(c) or init(p, c))
     assert verify_identity(GMScenario()).ok and verify_identity(GMScenario()).ok
     assert len(checked) <= 2 * 5
+
+
+def test_every_gate_runs_before_a_side_is_normalized(monkeypatch):
+    # a rejected scenario builds no normal form; one that passes every gate
+    # normalizes each side once, whether or not the comparison then holds
+    calls = []
+    monkeypatch.setattr(gm, "normalize", lambda e: calls.append(e) or normalize(e))
+    s = GMScenario()
+    for name in REJECTING_GATE:
+        for step in (-1, 1):
+            changes = {name: getattr(s, name) + step}
+            d = verify_identity(perturbed(s, **changes))
+            assert d.error is not None and calls == [], changes
+    for passing in (s, perturbed(s, px_fiber=2, ux_fiber=2)):
+        verify_identity(passing)
+        assert len(calls) == 2
+        calls.clear()
+
+
+@pytest.mark.parametrize(
+    "changes, gate, message",
+    [
+        (
+            {"codim_d2": 5, "px_fiber": 2},
+            ScenarioError,
+            "scenario check failed: codim of corank-2 locus = 5",
+        ),
+        (
+            {"px_fiber": 2, "codim_rho_d2": 2},
+            DimensionMismatchError,
+            "center dim 6 + codim 4 != ambient dim 9",
+        ),
+        (
+            {"lhs_center_fiber": 3, "psy_fiber": 4},
+            DimensionMismatchError,
+            "center dim 7 + codim 4 != ambient dim 10",
+        ),
+    ],
+    ids=["validate-before-lhs", "lhs-before-rhs", "lhs-center-before-rhs"],
+)
+def test_the_first_gate_in_derivation_order_is_reported(changes, gate, message):
+    # validate, then the lhs's blow-up, then the rhs's: each pair fails two
+    d = verify_identity(perturbed(GMScenario(), **changes))
+    assert not d.ok and type(d.error) is gate
+    assert d.message == f"construction failed: {message}"
+
+
+def test_perturbed_returns_a_fresh_scenario():
+    s = GMScenario()
+    with pytest.raises(
+        TypeError, match=r"^GMScenario\.__init__\(\) got an unexpected keyword argument 'codim_d3'$"
+    ):
+        perturbed(s, codim_d3=1)
+    moved = perturbed(s, codim_d2=5, px_fiber=2)
+    assert s == GMScenario()
+    assert type(moved) is GMScenario and moved == GMScenario(codim_d2=5, px_fiber=2)
+    assert perturbed(s) == s and perturbed(s) is not s
 
 
 class TestScenarioValidation:
