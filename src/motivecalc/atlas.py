@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from .tatepoly import MAX_DIM, Frozen, L, TatePolynomial, gaussian_binomial, ladder
 from .motive import AtomRegistry, MotiveAtom
-from .hodge import HodgeDiamond, check_symmetries
+from .hodge import HodgeDiamond, check_symmetries, diagonal
 
 
 class OddCohomologyError(ValueError):
@@ -34,11 +34,6 @@ class AtlasEntry(Frozen):
 
     def _key(self) -> tuple:
         return self.name, self.diamond, self.torsion_free, self.cells
-
-
-def diagonal(cells: TatePolynomial) -> HodgeDiamond:
-    """Diamond of a variety with cells[k] cells of dimension k: h^{k,k} = cells[k]."""
-    return HodgeDiamond(cells.degree, {(k, k): a for k, a in cells.items()})
 
 
 def _cellular(name: str, cells: TatePolynomial, provenance: str) -> AtlasEntry:

@@ -12,8 +12,8 @@ import sys
 
 from .tatepoly import ONE, NotDivisibleError
 from .motive import MotiveAtom, NotASummandError, dim_of, normalize, solve_tensor_factor
-from .hodge import HodgeDiamond, realize_hodge
-from .atlas import Atlas, AtlasEntry, diagonal
+from .hodge import HodgeDiamond, diagonal, realize_hodge
+from .atlas import Atlas, AtlasEntry
 from .dsl import DslError, Parser, print_twist
 from .gm import ATOMS, GMScenario, full_report, verify_identity
 

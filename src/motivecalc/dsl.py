@@ -124,8 +124,13 @@ class Parser:
         tok = tokenize(self._text)[i]
         return cls(message, tok.line, tok.col)
 
+    @staticmethod
+    def _quote(token: str) -> str:
+        """How an error names a token: whole up to 32 characters, else cut and measured."""
+        return repr(token) if len(token) <= 32 else f"{token[:32]!r}... ({len(token)} characters)"
+
     def _unexpected(self, i: int, what: str) -> DslError:
-        return self._error(i, f"expected {what}, got {self._t[i] or 'end of input'!r}")
+        return self._error(i, f"expected {what}, got {self._quote(self._t[i] or 'end of input')}")
 
     def _accept(self, text: str) -> bool:
         """Consume the next token if it reads `text`."""
@@ -170,7 +175,7 @@ class Parser:
         self._depth = 0
         result = rule()
         if self._t[self._i]:
-            raise self._error(self._i, f"trailing input {self._t[self._i]!r}")
+            raise self._error(self._i, f"trailing input {self._quote(self._t[self._i])}")
         return result
 
     def _expr(self) -> MotiveExpr:
@@ -218,7 +223,7 @@ class Parser:
                 raise self._error(i, f"K3: {exc}", ArityError) from exc
         if name in self.atlas.registry:
             return Atom(name)
-        raise self._error(i, f"unknown identifier {name!r}", UnknownIdentifierError)
+        raise self._error(i, f"unknown identifier {self._quote(name)}", UnknownIdentifierError)
 
     def _builtin(self, at: int) -> MotiveExpr:
         t = self._t

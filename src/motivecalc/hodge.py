@@ -6,10 +6,9 @@ to one, additively over atoms.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Mapping
 
-from .tatepoly import MAX_DIM, Frozen
+from .tatepoly import MAX_DIM, Frozen, TatePolynomial
 from .motive import NormalForm
 
 # pretty() refuses a diamond whose text could pass this many characters
@@ -87,26 +86,43 @@ class HodgeDiamond(Frozen):
             )
         # row p + q lists p from min(n, p + q) down, so (p, q) sits at min(q, n - p)
         rows: list[list[tuple[int, int]]] = [[] for _ in range(2 * n + 1)]
-        for (p, q), v in self._h.items():
+        for (p, q), v in sorted(self._h.items(), reverse=True):  # p down: columns in order
             rows[p + q].append((min(q, n - p), v))
         zero = "0".center(cell)
-        # margins and zero runs are most of a big text: one string per length, shared
-        repeat = functools.cache(str.__mul__)
-        pieces = []
+        tail = cell - len(zero.rstrip())  # blanks after the last zero of a row
+        # a margin and the zeros after it are one slice: widest margin, a zero per column
+        pad = cell * n
+        template = " " * pad + zero * (n + 1)
+        # each distinct row is rendered once: with both symmetries row 2n - k is row k
+        done, lines = {}, []
         for k, row in enumerate(rows):
             m = n + 1 - abs(k - n)
-            # an odd margin implies an odd total width: str.center pads it left first
-            pieces.append(repeat(" ", (cell * (2 * n + 1 - m) + 1) // 2))
-            col = 0
-            for j, v in sorted(row):
-                pieces += (repeat(zero, j - col), str(v).center(cell))
-                col = j + 1
-            if col < m:
-                pieces += (repeat(zero, m - col - 1), zero)
-            pieces[-1] = pieces[-1].rstrip()
-            pieces.append("\n")
-        pieces.pop()
-        return "".join(pieces)
+            line = done.get(key := (m, *row))
+            if line is None:
+                # an odd margin implies an odd total width: str.center pads it left first
+                a, col, pieces = pad - (cell * (2 * n + 1 - m) + 1) // 2, 0, []
+                for j, v in row:
+                    pieces += (template[a : pad + cell * (j - col)], str(v).center(cell))
+                    a, col = pad, j + 1
+                if col < m:
+                    pieces.append(template[a : pad + cell * (m - col) - tail])
+                else:
+                    pieces[-1] = pieces[-1].rstrip()
+                line = done[key] = "".join(pieces)
+            lines.append(line)
+        return "\n".join(lines)
+
+
+def _unchecked(n: int, h: dict[tuple[int, int], int]) -> HodgeDiamond:
+    """The diamond over h, a fresh result of this module: keys in [0, n]^2 to ints > 0."""
+    object.__setattr__(d := object.__new__(HodgeDiamond), "n", n)
+    object.__setattr__(d, "_h", h)
+    return d
+
+
+def diagonal(cells: TatePolynomial) -> HodgeDiamond:
+    """Diamond of a variety with cells[k] > 0 cells of dimension k: h^{k,k} = cells[k]."""
+    return _unchecked(cells.degree, {(k, k): a for k, a in cells.items()})
 
 
 def check_symmetries(d: HodgeDiamond) -> bool:
@@ -115,8 +131,8 @@ def check_symmetries(d: HodgeDiamond) -> bool:
     Only stored (nonzero) entries are visited: both maps are involutions, so
     once every nonzero cell matches its images, no zero cell can have a
     nonzero image either."""
-    n = d.n
-    return all(v == d.hodge(q, p) == d.hodge(n - p, n - q) for p, q, v in d.entries())
+    n, h = d.n, d._h
+    return all(v == h.get((q, p), 0) == h.get((n - p, n - q), 0) for (p, q), v in h.items())
 
 
 def realize_hodge(
@@ -139,4 +155,4 @@ def realize_hodge(
             for p, q, v in entries:
                 key = (p + k, q + k)
                 h[key] = h.get(key, 0) + a * v
-    return HodgeDiamond(n, h)
+    return _unchecked(n, h)  # each a * v > 0, at p + k, q + k <= table[name].n + degree <= n

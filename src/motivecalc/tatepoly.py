@@ -23,6 +23,10 @@ MAX_PAIRS = (MAX_DIM + 1) ** 2
 class NotDivisibleError(ArithmeticError):
     """No quotient with nonnegative integer coefficients exists."""
 
+    def __str__(self) -> str:  # div_exact passes its operands: formatted only when read
+        args = self.args
+        return "{} is not divisible by {}".format(*args) if len(args) == 2 else super().__str__()
+
 
 def _dense(c: dict[int, int]) -> bool:
     """16+ terms under 4 degrees apart on average: packing beats the loops there."""
@@ -222,19 +226,19 @@ class TatePolynomial(Frozen):
             # no coefficient of an exact quotient or divisor exceeds top
             top = max(p.values())
             if min(p) < min(dc) or max(dc.values()) > top:
-                raise NotDivisibleError(f"{self} is not divisible by {d}")
+                raise NotDivisibleError(self, d)
             w = _width(top)
             (p_lo, x), (d_lo, y) = _pack(p, w), _pack(dc, w)
             n, r = divmod(x, y)
             if r:  # refused before any unpacking
-                raise NotDivisibleError(f"{self} is not divisible by {d}")
+                raise NotDivisibleError(self, d)
             quot = _unpack(n, w, p_lo - d_lo)
             # an integer quotient need not be one in N[L].  No coefficient of
             # quot * d exceeds max(quot) * d(1): below 2^(8w) nothing carries,
             # so quot * d and p are both the base-2^(8w) digits of x; past it,
             # the product decides
             if max(quot.values()) * sum(dc.values()) >> 8 * w and _packed_product(quot, dc) != p:
-                raise NotDivisibleError(f"{self} is not divisible by {d}")
+                raise NotDivisibleError(self, d)
             return _unchecked(quot)
         rem, quot, d_lo = dict(p), {}, min(dc)
         d_lo_c = dc[d_lo]
@@ -246,13 +250,13 @@ class TatePolynomial(Frozen):
                 continue
             c, m = divmod(r, d_lo_c)
             if r_lo < d_lo or m:
-                raise NotDivisibleError(f"{self} is not divisible by {d}")
+                raise NotDivisibleError(self, d)
             shift = r_lo - d_lo
             quot[shift] = c
             for k, a in dc.items():
                 nv = rem.get(k + shift, 0) - a * c
                 if nv < 0:
-                    raise NotDivisibleError(f"{self} is not divisible by {d}")
+                    raise NotDivisibleError(self, d)
                 rem[k + shift] = nv
         return _unchecked(quot)
 

@@ -12,7 +12,9 @@ import hypothesis.strategies as st
 
 import motivecalc
 from motivecalc import TatePolynomial, ladder
+import motivecalc.cli as cli
 from motivecalc.cli import main
+from motivecalc.gm import GMScenario, perturbed, verify_identity
 
 from strategies import carried
 
@@ -148,6 +150,21 @@ class TestVerify:
         assert data["identity_ok"] is True
         assert data["euler"] == 32
         assert data["torsion"]["conclusion"] == "free"
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"codim_d2": 5}, {"px_fiber": 2, "ux_fiber": 2}],
+        ids=["rejected-at-a-gate", "normal-forms-differ"],
+    )
+    def test_failed_identity_exits_1(self, capsys, monkeypatch, changes):
+        bad = perturbed(GMScenario(), **changes)
+        monkeypatch.setattr(cli, "GMScenario", lambda: bad)
+        message = verify_identity(bad).message
+        assert run(capsys, "verify-gm6") == (1, f"identity: FAILED; {message}\n", "")
+        code, out, err = run(capsys, "verify-gm6", "--json")
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert report["identity_ok"] is False and report["message"] == message
 
     def test_deterministic(self, capsys):
         _, out1, _ = run(capsys, "verify-gm6", "--json")
@@ -325,6 +342,25 @@ def test_overlong_numeral_error_has_position(capsys, argv, col):
     limit = sys.get_int_max_str_digits()
     message = f"error: numeral has 5000 digits, more than {limit} (line 1, column {col})\n"
     assert run(capsys, *argv) == (2, "", message)
+
+
+NINES = "9" * 100_000
+CUT = "... (100000 characters) (line 1, column"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (f"K3*{NINES}", f"expected a twist, got '{'9' * 32}'{CUT} 4)"),
+        ("Ab" * 50_000, f"unknown identifier '{'Ab' * 16}'{CUT} 1)"),
+    ],
+    ids=["numeral", "identifier"],
+)
+def test_a_long_token_is_quoted_by_its_prefix(capsys, monkeypatch, text, message):
+    # a one-line error stays short however long the token it names
+    assert run(capsys, "betti", text) == (2, "", f"error: {message}\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(capsys, "betti", "-") == (2, "", f"error: {message}\n")
 
 
 def run_fresh(*argv):

@@ -261,6 +261,31 @@ class TestParserTexts:
             parser.parse(text)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # up to 32 characters a token is quoted whole, past them by its first 32
+            ("K3 * " + "9" * 32, f"expected a twist, got '{'9' * 32}' (line 1, column 6)"),
+            (
+                "K3 * " + "9" * 33,
+                f"expected a twist, got '{'9' * 32}'... (33 characters) (line 1, column 6)",
+            ),
+            (
+                "K3 " + "K3" * 20,
+                f"trailing input '{'K3' * 16}'... (40 characters) (line 1, column 4)",
+            ),
+            (
+                "Q(6) +\n" + "Ab" * 500,
+                f"unknown identifier '{'Ab' * 16}'... (1000 characters) (line 2, column 1)",
+            ),
+        ],
+        ids=["numeral-of-32", "numeral-of-33", "trailing-input", "unknown-identifier"],
+    )
+    def test_a_long_token_is_quoted_by_its_prefix(self, parser, text, message):
+        with pytest.raises(DslError) as exc:
+            parser.parse(text)
+        assert str(exc.value) == message
+
     def test_a_non_ascii_decimal_digit_is_a_numeral(self, parser):
         assert parser.parse("P(٣)") == Atom("P3")
 

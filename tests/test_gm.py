@@ -7,6 +7,7 @@ from motivecalc import (
     Atlas,
     AtlasEntry,
     IdentityError,
+    L,
     NormalForm,
     TatePolynomial,
     blow_up,
@@ -206,6 +207,13 @@ class TestTorsion:
         assert cert["atoms"] == {"B": FREE, "Y": FREE, "Hilb2QY": UNKNOWN}
         assert cert["conclusion"] == UNKNOWN
 
+    def test_no_unit_embedding_is_unknown(self):
+        # every atom is free, but X enters the lhs only as X * L
+        lhs = NormalForm({"X": L, "Hilb2QY": M2_TWIST})
+        cert = gm.Derivation(True, "identity holds", lhs, RHS_EXPECTED).torsion()
+        assert cert["atoms"] == {"B": FREE, "Y": FREE, "Hilb2QY": FREE}
+        assert cert["unit_embedding"] is False and cert["conclusion"] == UNKNOWN
+
     def test_untrusted_k3_propagates(self, monkeypatch):
         assert untrusted_atoms(monkeypatch, "k3") == {"Y", "Hilb2QY"}
 
@@ -325,6 +333,27 @@ def test_the_first_gate_in_derivation_order_is_reported(changes, gate, message):
     d = verify_identity(perturbed(GMScenario(), **changes))
     assert not d.ok and type(d.error) is gate
     assert d.message == f"construction failed: {message}"
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (
+            {"rank_e": 3, "rank_f": 3, "codim_d1": 1, "codim_d2": 4},
+            "corank-3 codim 9 > ambient dim 10: locus empty",
+        ),
+        (
+            {"rank_e": 3, "rank_f": 5, "codim_d1": 3, "codim_d2": 8},
+            "corank-2 locus dimension matches its fibration over the divisor",
+        ),
+    ],
+    ids=["corank-3-locus", "corank-2-dimension"],
+)
+def test_ranks_with_matching_codims_meet_a_later_check(changes, message):
+    # both codims follow the new ranks, so the first two checks pass
+    d = verify_identity(perturbed(GMScenario(), **changes))
+    assert not d.ok and type(d.error) is ScenarioError
+    assert d.message == f"construction failed: scenario check failed: {message}"
 
 
 def test_perturbed_returns_a_fresh_scenario():

@@ -17,7 +17,10 @@ from motivecalc import (
 )
 from motivecalc import hodge
 from motivecalc.dsl import Parser
+from motivecalc.hodge import diagonal
 from motivecalc.tatepoly import ONE, ZERO, L
+
+from strategies import nonzero_tate_polys, tate_polys
 
 P = Parser(Atlas()).parse_polynomial
 
@@ -128,6 +131,37 @@ def diamonds(draw):
     return HodgeDiamond(n, h)
 
 
+def assert_checked(d: HodgeDiamond):
+    """d is what the checking constructor builds from its entries."""
+    assert type(d) is HodgeDiamond and type(d.n) is int and d.n >= 0
+    assert d == HodgeDiamond(d.n, {(p, q): v for p, q, v in d.entries()})
+    assert all(v > 0 for _, _, v in d.entries())
+
+
+class TestUncheckedResults:
+    """realize_hodge and diagonal build their diamonds without the checks."""
+
+    def test_realize_hodge_skips_the_checks(self, monkeypatch):
+        built, init = [], HodgeDiamond.__init__
+        monkeypatch.setattr(HodgeDiamond, "__init__", lambda *a: built.append(a) or init(*a))
+        d = gm_diamond()
+        assert built == []
+        assert_checked(d)
+
+    @settings(max_examples=200)
+    @given(tate_polys(), tate_polys())
+    def test_realized_diamonds(self, a, b):
+        assert_checked(realize_hodge(NormalForm({"B": a, "Y": b}), {"B": Q6, "Y": K3}))
+
+    @settings(max_examples=200)
+    @given(nonzero_tate_polys())
+    def test_diagonal(self, cells):
+        d = diagonal(cells)
+        assert_checked(d)
+        assert d.n == cells.degree
+        assert d.entries() == [(k, k, a) for k, a in cells.items()]
+
+
 class TestCheckSymmetries:
     def test_gm_diamond(self):
         assert check_symmetries(gm_diamond())
@@ -201,7 +235,7 @@ def symmetric_sparse_diamonds(draw):
 
 
 @settings(max_examples=300)
-@given(symmetric_sparse_diamonds())
+@given(st.one_of(symmetric_sparse_diamonds(), diamonds()))
 @example(HodgeDiamond(0, {}))
 # rows 0 and 2 start and end in a stored cell
 @example(HodgeDiamond(2, {(0, 0): 1, (0, 2): 1, (2, 0): 1, (2, 2): 1}))
@@ -211,6 +245,8 @@ def symmetric_sparse_diamonds(draw):
 @example(HodgeDiamond(3, {(1, 1): 123, (2, 2): 123}))
 @example(HodgeDiamond(2, {(0, 0): 1, (1, 1): 42, (2, 2): 1}))
 @example(HodgeDiamond(4, {(1, 3): 123, (3, 1): 123, (2, 2): 5}))
+# rows 0 and 6 are one width, but their cells differ
+@example(HodgeDiamond(3, {(0, 0): 1, (3, 3): 2}))
 def test_pretty_matches_reference(d):
     assert d.pretty() == pretty_reference(d)
 

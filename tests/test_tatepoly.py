@@ -307,6 +307,28 @@ class TestPackedRefusals:
         assert str(exc.value) == f"{p} is not divisible by {d}"
 
 
+class TestRefusalText:
+    """A refusal keeps its operands and formats them only when its text is read."""
+
+    @pytest.mark.parametrize(
+        "p, d",
+        [(P("1 + L^2"), P("1 + L")), (ladder(0, 39) + L**5, ladder(0, 19))],
+        ids=["sparse", "packed"],
+    )
+    def test_operands_are_formatted_on_demand(self, monkeypatch, p, d):
+        text = f"{p} is not divisible by {d}"
+        rendered, render = [], TatePolynomial.__str__
+        monkeypatch.setattr(TatePolynomial, "__str__", lambda q: rendered.append(q) or render(q))
+        with pytest.raises(NotDivisibleError) as exc:
+            p.div_exact(d)
+        assert rendered == [] and exc.value.args == (p, d)
+        assert str(exc.value) == text and rendered == [p, d]
+
+    def test_a_message_prints_as_given(self):
+        assert str(NotDivisibleError("6 is not divisible by 4")) == "6 is not divisible by 4"
+        assert str(NotDivisibleError()) == ""
+
+
 class TestWorkBounds:
     def test_dense_product_over_the_pair_cap(self):
         with pytest.raises(ValueError) as exc:
