@@ -104,29 +104,21 @@ class GMScenario:
         """Check declared codimensions against the expected-codimension
         formula and the dimension bookkeeping; raise ScenarioError at the
         first check that fails."""
-
-        def expect(cond: bool, text: str):
-            if not cond:
-                raise ScenarioError(f"scenario check failed: {text}")
-
         e, f = self.rank_e, self.rank_f
-        expect(
-            self.codim_d1 == codim_rank_leq(e, f, min(e, f) - 1),
-            f"codim of corank-1 locus = {self.codim_d1}",
-        )
-        expect(
-            self.codim_d2 == codim_rank_leq(e, f, min(e, f) - 2),
-            f"codim of corank-2 locus = {self.codim_d2}",
-        )
-        c3 = codim_rank_leq(e, f, min(e, f) - 3)
-        expect(
-            c3 > self.ambient_dim,
-            f"corank-3 codim {c3} > ambient dim {self.ambient_dim}: locus empty",
-        )
-        expect(
-            self.ambient_dim - self.codim_d2 == ATOMS["Hilb2QY"].dim + self.d2_fiber,
-            "corank-2 locus dimension matches its fibration over the divisor",
-        )
+        if self.codim_d1 != codim_rank_leq(e, f, min(e, f) - 1):
+            raise ScenarioError(f"scenario check failed: codim of corank-1 locus = {self.codim_d1}")
+        if self.codim_d2 != codim_rank_leq(e, f, min(e, f) - 2):
+            raise ScenarioError(f"scenario check failed: codim of corank-2 locus = {self.codim_d2}")
+        if (c3 := codim_rank_leq(e, f, min(e, f) - 3)) <= self.ambient_dim:
+            raise ScenarioError(
+                f"scenario check failed: corank-3 codim {c3} > ambient dim {self.ambient_dim}: "
+                "locus empty"
+            )
+        if self.ambient_dim - self.codim_d2 != ATOMS["Hilb2QY"].dim + self.d2_fiber:
+            raise ScenarioError(
+                "scenario check failed: "
+                "corank-2 locus dimension matches its fibration over the divisor"
+            )
 
 
 def build_d2(s: GMScenario):

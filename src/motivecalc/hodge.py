@@ -86,8 +86,11 @@ class HodgeDiamond(Frozen):
             )
         # row p + q lists p from min(n, p + q) down, so (p, q) sits at min(q, n - p)
         rows: list[list[tuple[int, int]]] = [[] for _ in range(2 * n + 1)]
-        for (p, q), v in sorted(self._h.items(), reverse=True):  # p down: columns in order
+        for (p, q), v in self._h.items():
             rows[p + q].append((min(q, n - p), v))
+        for row in rows:
+            if len(row) > 1:  # columns in order; no two cells of a row share one
+                row.sort()
         zero = "0".center(cell)
         tail = cell - len(zero.rstrip())  # blanks after the last zero of a row
         # a margin and the zeros after it are one slice: widest margin, a zero per column
@@ -122,7 +125,7 @@ def _unchecked(n: int, h: dict[tuple[int, int], int]) -> HodgeDiamond:
 
 def diagonal(cells: TatePolynomial) -> HodgeDiamond:
     """Diamond of a variety with cells[k] > 0 cells of dimension k: h^{k,k} = cells[k]."""
-    return _unchecked(cells.degree, {(k, k): a for k, a in cells.items()})
+    return _unchecked(cells.degree, {(k, k): a for k, a in cells.coeffs.items()})
 
 
 def check_symmetries(d: HodgeDiamond) -> bool:
@@ -150,9 +153,9 @@ def realize_hodge(
         raise ValueError(f"top weight {n} exceeds the Hodge realization cap {MAX_DIM}")
     h: dict[tuple[int, int], int] = {}
     for name in nf.atoms():
-        entries = table[name].entries()
-        for k, a in nf.coefficient(name).items():
-            for p, q, v in entries:
+        entries = table[name]._h.items()
+        for k, a in nf.coefficient(name).coeffs.items():
+            for (p, q), v in entries:
                 key = (p + k, q + k)
                 h[key] = h.get(key, 0) + a * v
     return _unchecked(n, h)  # each a * v > 0, at p + k, q + k <= table[name].n + degree <= n

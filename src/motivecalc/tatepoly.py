@@ -28,9 +28,12 @@ class NotDivisibleError(ArithmeticError):
         return "{} is not divisible by {}".format(*args) if len(args) == 2 else super().__str__()
 
 
-def _dense(c: dict[int, int]) -> bool:
-    """16+ terms under 4 degrees apart on average: packing beats the loops there."""
-    return len(c) >= 16 and max(c) - min(c) < 4 * len(c)
+def _dense(c: dict[int, int]) -> tuple[int, int] | None:
+    """(min(c), max(c)) if c holds 16+ terms under 4 degrees apart on average:
+    packing beats the loops there; else None."""
+    if len(c) >= 16 and (hi := max(c)) - (lo := min(c)) < 4 * len(c):
+        return lo, hi
+    return None
 
 
 # the unsigned array typecode of each machine width: digits of these widths
@@ -44,18 +47,17 @@ def _width(top: int) -> int:
     return min((s for s in _CODES if s >= w), default=w)
 
 
-def _pack(c: dict[int, int], w: int) -> tuple[int, int]:
-    """(lo, n): degrees lo = min(c) .. max(c) of c as the w-byte digits of n."""
-    lo = min(c)
+def _pack(c: dict[int, int], w: int, lo: int, hi: int) -> int:
+    """Degrees lo .. hi of c, a span holding every stored one, as the w-byte digits of an int."""
     if w not in _CODES:
-        digits = [c.get(k, 0).to_bytes(w, "little") for k in range(lo, max(c) + 1)]
-        return lo, int.from_bytes(b"".join(digits), "little")
-    a = array(_CODES[w], [0]) * (max(c) - lo + 1)
+        digits = [c.get(k, 0).to_bytes(w, "little") for k in range(lo, hi + 1)]
+        return int.from_bytes(b"".join(digits), "little")
+    a = array(_CODES[w], [0]) * (hi - lo + 1)
     for k, v in c.items():
         a[k - lo] = v
     if sys.byteorder == "big":
         a.byteswap()
-    return lo, int.from_bytes(a, "little")
+    return int.from_bytes(a, "little")
 
 
 def _unpack(n: int, w: int, lo: int = 0) -> dict[int, int]:
@@ -70,11 +72,11 @@ def _unpack(n: int, w: int, lo: int = 0) -> dict[int, int]:
     return {lo + k: a for k, a in enumerate(digits) if a}
 
 
-def _packed_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """a * b as one int product; a coefficient sums at most min(len) pairs."""
-    w = _width(max(a.values()) * max(b.values()) * min(len(a), len(b)))
-    (lo_a, x), (lo_b, y) = _pack(a, w), _pack(b, w)
-    return _unpack(x * y, w, lo_a + lo_b)
+def _packed_product(a: dict[int, int], sa: tuple, b: dict[int, int], sb: tuple) -> dict[int, int]:
+    """a * b over their spans sa and sb as one int product: a coefficient of
+    a * b is at most max(a) * b(1) and at most max(b) * a(1)."""
+    w = _width(min(max(a.values()) * sum(b.values()), max(b.values()) * sum(a.values())))
+    return _unpack(_pack(a, w, *sa) * _pack(b, w, *sb), w, sa[0] + sb[0])
 
 
 def gaussian_binomial(n: int, k: int) -> TatePolynomial:
@@ -85,10 +87,13 @@ def gaussian_binomial(n: int, k: int) -> TatePolynomial:
     k = min(k, n - k)  # [n, k] = [n, n - k]; each row keeps columns 0..k only
     # row[j] packs [m, j] at w bytes a degree: its coefficients sum to comb(m, j) <= comb(n, k)
     w = _width(math.comb(n, k))
-    row = [1] + [0] * k
+    s, row = 8 * w, [1] + [0] * k
     for m in range(1, n + 1):
-        # [m, j] = [m-1, j-1] + L^j [m-1, j], where [m-1, j] = 0 for j >= m
-        row = [1] + [row[j - 1] + (row[j] << 8 * w * j) for j in range(1, k + 1)]
+        # [m, j] = [m-1, j-1] + L^j [m-1, j], where [m-1, j] = 0 for j >= m; only
+        # columns j >= k - (n - m) can still reach [n, k], and below the band
+        # no later row reads a stale column
+        lo, hi = max(1, k - n + m), min(m, k)
+        row[lo : hi + 1] = [row[j - 1] + (row[j] << s * j) for j in range(lo, hi + 1)]
     return _unchecked(_unpack(row[k], w))
 
 
@@ -192,8 +197,8 @@ class TatePolynomial(Frozen):
         pairs = len(self._coeffs) * len(other._coeffs)
         if pairs > MAX_PAIRS:
             raise ValueError(f"twist product of {pairs} term pairs exceeds {MAX_PAIRS}")
-        if _dense(self._coeffs) and _dense(other._coeffs):
-            return _unchecked(_packed_product(self._coeffs, other._coeffs))
+        if (sa := _dense(self._coeffs)) and (sb := _dense(other._coeffs)):
+            return _unchecked(_packed_product(self._coeffs, sa, other._coeffs, sb))
         out: dict[int, int] = {}
         for k1, a1 in self._coeffs.items():
             for k2, a2 in other._coeffs.items():
@@ -222,22 +227,26 @@ class TatePolynomial(Frozen):
         if not d:
             raise ZeroDivisionError("division by the zero polynomial")
         p, dc = self._coeffs, d._coeffs
-        if _dense(p) and _dense(dc):
+        if (sp := _dense(p)) and (sd := _dense(dc)):
             # no coefficient of an exact quotient or divisor exceeds top
             top = max(p.values())
-            if min(p) < min(dc) or max(dc.values()) > top:
+            if sp[0] < sd[0] or max(dc.values()) > top:
                 raise NotDivisibleError(self, d)
             w = _width(top)
-            (p_lo, x), (d_lo, y) = _pack(p, w), _pack(dc, w)
-            n, r = divmod(x, y)
+            n, r = divmod(_pack(p, w, *sp), _pack(dc, w, *sd))
             if r:  # refused before any unpacking
                 raise NotDivisibleError(self, d)
-            quot = _unpack(n, w, p_lo - d_lo)
+            # n times the packed divisor is the packed dividend, so no digit of
+            # n lies past degree sp[1] - sd[1]
+            sq = (sp[0] - sd[0], sp[1] - sd[1])
+            quot = _unpack(n, w, sq[0])
             # an integer quotient need not be one in N[L].  No coefficient of
             # quot * d exceeds max(quot) * d(1): below 2^(8w) nothing carries,
             # so quot * d and p are both the base-2^(8w) digits of x; past it,
             # the product decides
-            if max(quot.values()) * sum(dc.values()) >> 8 * w and _packed_product(quot, dc) != p:
+            if max(quot.values()) * sum(dc.values()) >> 8 * w and (
+                _packed_product(quot, sq, dc, sd) != p
+            ):
                 raise NotDivisibleError(self, d)
             return _unchecked(quot)
         rem, quot, d_lo = dict(p), {}, min(dc)

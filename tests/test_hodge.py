@@ -259,6 +259,19 @@ def test_pretty_matches_reference_at_dimension_579():
     assert d.pretty() == pretty_reference(d)
 
 
+@settings(max_examples=200)
+@given(st.one_of(symmetric_sparse_diamonds(), diamonds()), st.data())
+def test_outputs_do_not_depend_on_insertion_order(d, data):
+    # realize_hodge and diagonal store entries in the order their loops meet
+    # them, so the renderings must not read the stored order
+    cells = [((p, q), v) for p, q, v in d.entries()]
+    orders = (cells, cells[::-1], data.draw(st.permutations(cells)))
+    built = [HodgeDiamond(d.n, dict(order)) for order in orders]
+    assert {e.pretty() for e in built} == {pretty_reference(d)}
+    assert all(e.to_json_dict() == d.to_json_dict() for e in built)
+    assert {e.betti() for e in built} == {d.betti()}
+
+
 def test_pretty_bound_is_the_predicted_size(monkeypatch):
     d = HodgeDiamond(2, {(0, 0): 1, (1, 1): 42, (2, 2): 1})
     size = 5**2 * 4  # 2n + 1 rows of at most 2n + 1 cells, each 2 + 2 wide

@@ -234,8 +234,37 @@ class TestDigitWidths:
         c = {lo: full, lo + 1: 1, lo + 4: 2 ** (8 * w - 1), lo + 5: full, lo + 9: 7}
         c[lo + 12] = 1 if last == "one" else full
         n = pack_reference(c, w)
-        assert _pack(c, w) == (lo, n)
+        assert _pack(c, w, lo, lo + 12) == n
         assert _unpack(n, w, lo) == unpack_reference(n, w, lo) == c
+
+
+class TestProductWidth:
+    """A packed product's digits hold min(max(a) * b(1), max(b) * a(1))."""
+
+    @staticmethod
+    def packed_width(monkeypatch, a: TatePolynomial, b: TatePolynomial) -> int:
+        unpacked = calls(monkeypatch, "_unpack")
+        assert a * b == mul_reference(a, b)
+        [(_, w, _)] = unpacked
+        return w
+
+    @pytest.mark.parametrize("w,wider", ((1, 2), (2, 4), (4, 8)))
+    @pytest.mark.parametrize("over", (0, 1))
+    def test_a_bound_at_the_top_of_a_width(self, monkeypatch, w, wider, over):
+        # a is 16 ones, b is 15 ones and one coefficient c: the bound
+        # min(1 * b(1), c * 16) is b(1) = c + 15, which the middle
+        # coefficient of a * b reaches
+        bound = 2 ** (8 * w) - 1 + over
+        a, b = ladder(0, 15), ladder(1, 15) + TatePolynomial({0: bound - 15})
+        assert _dense(a.coeffs) and _dense(b.coeffs)
+        assert max((a * b).coeffs.values()) == bound
+        assert self.packed_width(monkeypatch, a, b) == (wider if over else w)
+
+    def test_a_constant_row_times_a_ladder_power(self, monkeypatch):
+        # max(a) * max(b) * min(len) = 3 * 30162301 * 97 = 8777229591 would
+        # take 8 bytes; max(a) * b(1) = 3 * 13^8 fits in 4
+        a, b = TatePolynomial({j: 3 for j in range(577)}), ladder(0, 12) ** 8
+        assert self.packed_width(monkeypatch, a, b) == 4
 
 
 class TestCarryBound:
