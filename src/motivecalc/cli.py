@@ -52,10 +52,13 @@ def _load_extra_atlas(atlas: Atlas, path: str) -> None:
             isinstance(t, list) and len(t) == 3 and all(type(x) is int for x in t) for t in h
         ):
             raise bad(field, "a list of [p, q, v] integer triples")
+        table = {(p, q): v for p, q, v in h}
+        if len(table) < len(h):
+            raise bad(field, "a list of [p, q, v] integer triples with no (p, q) twice")
         torsion_free = item.get("torsion_free", False)
         if not isinstance(torsion_free, bool):
             raise bad("torsion_free", "a boolean")
-        diamond = HodgeDiamond(dim, {(p, q): v for p, q, v in h})
+        diamond = HodgeDiamond(dim, table)
         cells = item.get("cells")
         if cells is not None:
             if not isinstance(cells, str):

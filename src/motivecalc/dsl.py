@@ -50,12 +50,12 @@ class ArityError(DslError):
     pass
 
 
-# kind is NAME, NAT, SYM or END
-Token = collections.namedtuple("Token", "kind text line col")
+Token = collections.namedtuple("Token", "text line col")
 
-# every token's text, and a one-character text for each other non-blank
-# character; a token's first character gives its kind
-_TEXT_RE = re.compile(r"[+*^(),]|\d+|[A-Za-z][A-Za-z0-9_]*|\S")
+# a token's text; a symbol, a numeral (NAT) or an identifier (NAME)
+_TOKEN_RE = re.compile(r"[+*^(),]|\d+|[A-Za-z][A-Za-z0-9_]*")
+# every token's text, and a one-character text for each other non-blank character
+_TEXT_RE = re.compile(_TOKEN_RE.pattern + r"|\S")
 
 # argument kind of a builtin: EXPR reads an expression, a string reads a
 # natural number and names it in errors
@@ -93,19 +93,17 @@ MAX_DEPTH = 200
 
 
 def tokenize(text: str) -> list[Token]:
-    """Tokens with 1-based (line, column); END sits just past the text, on
-    its last line."""
+    """(text, line, column) of each token, 1-based; END, with text "", sits
+    just past the text, on its last line."""
     tokens = []
     lines = text.split("\n")  # not splitlines: '\r', '\x0b', '\x1c' are blanks
     for line, chars in enumerate(lines, 1):
         for m in _TEXT_RE.finditer(chars):
             t, col = m.group(), m.start() + 1
-            c = t[0]  # gives the kind, as the parser reads it
-            kind = "NAT" if c.isdecimal() else "NAME" if c.isalpha() and c.isascii() else "SYM"
-            if kind == "SYM" and c not in "+*^(),":
-                raise DslSyntaxError(f"unexpected character {c!r}", line, col)
-            tokens.append(Token(kind, t, line, col))
-    tokens.append(Token("END", "", len(lines), len(lines[-1]) + 1))
+            if not _TOKEN_RE.match(t):
+                raise DslSyntaxError(f"unexpected character {t!r}", line, col)
+            tokens.append(Token(t, line, col))
+    tokens.append(Token("", len(lines), len(lines[-1]) + 1))
     return tokens
 
 
@@ -279,8 +277,5 @@ class Parser:
 
 def print_twist(poly: TatePolynomial) -> str:
     """Render a nonzero twist factor as it follows ``*`` in DSL source."""
-    items = poly.items()
-    if len(items) == 1 and items[0][1] == 1 and items[0][0] >= 1:
-        k = items[0][0]
-        return "L" if k == 1 else f"L^{k}"
-    return f"({poly})"
+    (k, a), *rest = poly.items()
+    return str(poly) if not rest and a == 1 and k >= 1 else f"({poly})"

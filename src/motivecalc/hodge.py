@@ -45,9 +45,6 @@ class HodgeDiamond(Frozen):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_h", clean)
 
-    def hodge(self, p: int, q: int) -> int:
-        return self._h.get((p, q), 0)
-
     def entries(self) -> list[tuple[int, int, int]]:
         return [(p, q, v) for (p, q), v in sorted(self._h.items())]
 
@@ -60,11 +57,6 @@ class HodgeDiamond(Frozen):
     def euler(self) -> int:
         # odd cohomology enters with sign -1
         return sum(v if (p + q) % 2 == 0 else -v for (p, q), v in self._h.items())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, HodgeDiamond):
-            return self.n == other.n and self._h == other._h
-        return NotImplemented
 
     def __hash__(self) -> int:
         return hash((self.n, frozenset(self._h.items())))

@@ -109,10 +109,7 @@ class NormalForm(Frozen):
     def coefficient(self, name: str) -> TatePolynomial:
         return self._terms.get(name, ZERO)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, NormalForm):
-            return self._terms == other._terms
-        return NotImplemented
+    __hash__ = None  # its terms are a dict
 
     def __add__(self, other: "NormalForm") -> "NormalForm":
         out = dict(self._terms)

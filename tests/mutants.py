@@ -7,8 +7,8 @@ when one of them is switched off?
 pytest does not collect this file (its name has no ``test_`` prefix). Each
 mutant is one exact textual edit at one place of a module under
 ``src/motivecalc``. The unmutated tree is run first and must pass. Then, for
-each mutant, ``src/``, ``tests/`` and ``pyproject.toml`` are copied into a
-temporary directory, the edit is applied there, and tier-1 runs with ``-x``:
+each mutant, ``src/``, ``tests/``, ``perfbench/`` (which tier-1 reads as
+source) and ``pyproject.toml`` are copied into a temporary directory, the edit is applied there, and tier-1 runs with ``-x``:
 KILLED names the first failing test, SURVIVED means every test passed. The
 exit code is 1 if a mutant survives that EQUIVALENT does not list, or if a
 mutant's text is not found exactly once (the table is stale); 2 if the
@@ -77,6 +77,17 @@ MUTANTS = {
         "lo, hi = max(1, k - n + m + 1), min(m, k)",
     ),
     "pretty row-sort threshold > 2": ("hodge.py", "if len(row) > 1:", "if len(row) > 2:"),
+    "Frozen equality type check": (
+        "tatepoly.py",
+        "if type(other) is not type(self):",
+        "if False:",
+    ),
+    "TatePolynomial key empty": (
+        "tatepoly.py",
+        "ONE\n        return self._coeffs\n",
+        "ONE\n        return {}\n",
+    ),
+    "--atlas repeated (p, q) refusal": ("cli.py", "if len(table) < len(h):", "if False:"),
 }
 
 # survivors that no test can tell apart from the original, each with its
@@ -96,8 +107,8 @@ def tier1(tree: Path) -> tuple[bool, str]:
 
 
 def copy_tree(dest: Path) -> Path:
-    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-    for part in ("src", "tests"):
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "_out")
+    for part in ("src", "tests", "perfbench"):
         shutil.copytree(ROOT / part, dest / part, ignore=skip)
     shutil.copy2(ROOT / "pyproject.toml", dest)
     return dest

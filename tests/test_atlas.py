@@ -114,13 +114,12 @@ class TestProjectiveSpace:
 class TestQuadric:
     def test_q6(self):
         e = quadric(6)
-        assert e.diamond.hodge(3, 3) == 2
-        assert all(e.diamond.hodge(p, p) == 1 for p in range(7) if p != 3)
+        assert e.diamond.entries() == [(p, p, 2 if p == 3 else 1) for p in range(7)]
         assert e.diamond.euler() == 8
 
     def test_q5(self):
         e = quadric(5)
-        assert all(e.diamond.hodge(p, p) == 1 for p in range(6))
+        assert e.diamond.entries() == [(p, p, 1) for p in range(6)]
         assert e.diamond.euler() == 6
 
     def test_q1_is_p1(self):
@@ -182,8 +181,7 @@ class TestK3:
     def test_invariants(self):
         e = k3()
         assert e.diamond.betti() == (1, 0, 22, 0, 1)
-        assert e.diamond.hodge(1, 1) == 20
-        assert e.diamond.hodge(2, 0) == 1
+        assert {(1, 1, 20), (2, 0, 1)} <= set(e.diamond.entries())
         assert e.diamond.euler() == 24
         assert e.torsion_free
 
@@ -192,8 +190,7 @@ class TestHilb2:
     def test_hilb2_k3(self):
         e = hilb2_surface(k3())
         assert e.diamond.betti() == (1, 0, 23, 0, 276, 0, 23, 0, 1)
-        assert e.diamond.hodge(1, 1) == 21
-        assert e.diamond.hodge(2, 2) == 232
+        assert {(1, 1, 21), (2, 2, 232)} <= set(e.diamond.entries())
         assert e.diamond.euler() == 324
         assert e.torsion_free
 

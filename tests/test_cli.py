@@ -298,6 +298,18 @@ class TestAtlas:
                 [{"name": "S", "dim": 0, "h": [], "cells": "0"}],
                 "'cells' must be a twist polynomial whose diagonal diamond is 'h'",
             ),
+            # a repeated (p, q) is refused, not read last-wins
+            (
+                [{"name": "E", "dim": 1, "h": [[0, 0, 5], [0, 0, 1], [1, 1, 1]]}],
+                "item 0: 'h' must be a list of [p, q, v] integer triples with no (p, q) twice",
+            ),
+            (
+                [
+                    {"name": "S", "dim": 0, "h": [[0, 0, 1]]},
+                    {"name": "E", "dim": 1, "diamond": {"h": [[0, 0, 1], [1, 1, 1], [1, 1, 1]]}},
+                ],
+                "item 1: 'diamond.h' must be a list of [p, q, v] integer triples with no (p, q) twice",
+            ),
         ],
     )
     def test_atlas_schema_violation_exit_2(self, capsys, tmp_path, doc, message):
@@ -594,27 +606,36 @@ JSON = st.recursive(
 )
 
 
+TEXTS = st.tuples(
+    dsl_texts(), st.text("PQGrHilb2BFiodK3LSX0123456789+*^(), \n", max_size=10), st.integers(0)
+).map(splice)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
-    command=st.sampled_from(["normalize", "hodge", "betti", "euler", "dim"]),
-    text=st.tuples(
-        dsl_texts(), st.text("PQGrHilb2BFiodK3LSX0123456789+*^(), \n", max_size=10), st.integers(0)
-    ).map(splice),
+    argv=st.one_of(
+        st.tuples(st.sampled_from(["normalize", "hodge", "betti", "euler", "dim"]), TEXTS),
+        st.tuples(st.just("solve"), POLYS, TEXTS, TEXTS),
+    ),
+    as_json=st.booleans(),
     atlas=st.one_of(st.none(), st.lists(ATLAS_ENTRIES, min_size=1, max_size=2), JSON),
 )
-def test_cli_exit_contract_fuzz(command, text, atlas):
-    # exit 0 or 2 for any input, within run_fresh's time and memory limits
+def test_cli_exit_contract_fuzz(argv, as_json, atlas):
+    # exit 0 or 2 for any input, or 1 for a solve that fails, within
+    # run_fresh's time and memory limits
+    argv = [argv[0], *["--json"] * as_json, *argv[1:]]
     with tempfile.TemporaryDirectory() as tmp:
-        argv = [command, text]
         if atlas is not None:
             path = Path(tmp, "atlas.json")
             path.write_text(json.dumps(atlas))
             argv[1:1] = ["--atlas", str(path)]
         code, out, err = run_fresh(*argv)
-    assert code in (0, 2), err
+    assert code in ((0, 1, 2) if argv[0] == "solve" else (0, 2)), err
     assert "Traceback" not in err
     if code == 2:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == "" and (json.loads(out) if as_json else out)
 
 
 @pytest.mark.parametrize(

@@ -168,17 +168,14 @@ def naive_position(text, at):
     return text.count("\n", 0, at) + 1, at - (text.rfind("\n", 0, at) + 1) + 1
 
 
-NAIVE_TOKEN = r"(?P<NAT>\d+)|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)|(?P<SYM>[+*^(),])"
+NAIVE_TOKEN = r"\d+|[A-Za-z][A-Za-z0-9_]*|[+*^(),]"
 
 
 def naive_tokens(text):
-    """(kind, text, line, col) of every token, each located from offset 0."""
-    out = [
-        (m.lastgroup, m.group(), *naive_position(text, m.start()))
-        for m in re.finditer(NAIVE_TOKEN, text)
-    ]
+    """(text, line, col) of every token, each located from offset 0."""
+    out = [(m.group(), *naive_position(text, m.start())) for m in re.finditer(NAIVE_TOKEN, text)]
     # END sits just past the text
-    return out + [("END", "", *naive_position(text, len(text)))]
+    return out + [("", *naive_position(text, len(text)))]
 
 
 MULTILINE_PROGRAMS = [
@@ -198,7 +195,7 @@ MULTILINE_PROGRAMS = [
 class TestTokenizePositions:
     @pytest.mark.parametrize("text", MULTILINE_PROGRAMS)
     def test_matches_naive_reference(self, text):
-        got = [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+        got = [(t.text, t.line, t.col) for t in tokenize(text)]
         assert got == naive_tokens(text)
 
     @pytest.mark.parametrize("text", ["Q(6) +\n\n  K3 @ L", "\nQ(6)\n +  K3 * L^2 $\n"])
@@ -220,11 +217,11 @@ class TestTokenizePositions:
         bad = [i for i, ch in enumerate(text) if i not in covered and not ch.isspace()]
         parser = Parser(Atlas())
         if not bad:
-            got = [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+            got = [(t.text, t.line, t.col) for t in tokenize(text)]
             assert got == naive_tokens(text)
             with contextlib.suppress(DslError):
                 parser.parse(text)
-            assert parser._t == [t[1] for t in got]
+            assert parser._t == [t[0] for t in got]
             return
         for read in (tokenize, parser.parse):
             with pytest.raises(DslSyntaxError) as exc:
