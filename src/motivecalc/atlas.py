@@ -147,10 +147,7 @@ class Atlas:
         return self._build(k3)
 
     def hilb2(self, name: str) -> AtlasEntry:
-        base = self.get(name)
-        if base is None:
-            raise KeyError(name)
-        return self._build(hilb2_surface, base)
+        return self._build(hilb2_surface, self._entries[name])
 
     def diamond_table(self) -> dict[str, HodgeDiamond]:
         return {name: e.diamond for name, e in self._entries.items()}

@@ -11,7 +11,8 @@ import json
 import sys
 
 from .tatepoly import ONE, NotDivisibleError
-from .motive import MotiveAtom, NotASummandError, dim_of, normalize, solve_tensor_factor
+from .motive import CANCELLATION_NOTE, MotiveAtom, NotASummandError, dim_of, normalize
+from .motive import solve_tensor_factor
 from .hodge import HodgeDiamond, diagonal, realize_hodge
 from .atlas import Atlas, AtlasEntry
 from .dsl import DslError, Parser, print_twist
@@ -32,44 +33,49 @@ def _load_extra_atlas(atlas: Atlas, path: str) -> None:
             raise ValueError(f"atlas file {path}: nested too deeply to read") from None
     if not isinstance(data, list):
         raise ValueError(f"atlas file {path}: top level must be a list of objects")
+
+    def bad(field: str, want: str) -> ValueError:
+        return ValueError(f"{field!r} must be {want}")
+
     for i, item in enumerate(data):
         if not isinstance(item, dict):
             raise ValueError(f"atlas file {path}: item {i} must be an object")
-
-        def bad(field: str, want: str) -> ValueError:
-            return ValueError(f"atlas file {path}: item {i}: {field!r} must be {want}")
-
-        name, dim = item.get("name"), item.get("dim")
-        if not isinstance(name, str):
-            raise bad("name", "a string")
-        if type(dim) is not int or dim < 0:
-            raise bad("dim", "a nonnegative integer")
-        field, h = "h", item.get("h")
-        if "diamond" in item:
-            diamond = item["diamond"]
-            field, h = "diamond.h", diamond.get("h") if isinstance(diamond, dict) else None
-        if not isinstance(h, list) or not all(
-            isinstance(t, list) and len(t) == 3 and all(type(x) is int for x in t) for t in h
-        ):
-            raise bad(field, "a list of [p, q, v] integer triples")
-        table = {(p, q): v for p, q, v in h}
-        if len(table) < len(h):
-            raise bad(field, "a list of [p, q, v] integer triples with no (p, q) twice")
-        torsion_free = item.get("torsion_free", False)
-        if not isinstance(torsion_free, bool):
-            raise bad("torsion_free", "a boolean")
-        diamond = HodgeDiamond(dim, table)
-        cells = item.get("cells")
-        if cells is not None:
-            if not isinstance(cells, str):
-                raise bad("cells", "null or a twist polynomial")
-            try:
-                cells = Parser(atlas).parse_polynomial(cells)
-            except DslError as exc:
-                raise bad("cells", f"a twist polynomial: {exc}") from None
-            if not cells or diagonal(cells) != diamond:
-                raise bad("cells", f"a twist polynomial whose diagonal diamond is {field!r}")
-        atlas.add(AtlasEntry(name, diamond, torsion_free, f"user atlas file {path}", cells))
+        try:  # a refusal of a field, of the values built from them or of a clash names the item
+            name, dim = item.get("name"), item.get("dim")
+            if not isinstance(name, str):
+                raise bad("name", "a string")
+            if type(dim) is not int or dim < 0:
+                raise bad("dim", "a nonnegative integer")
+            field, h = "h", item.get("h")
+            if "diamond" in item:
+                diamond = item["diamond"] if isinstance(item["diamond"], dict) else {}
+                field, h = "diamond.h", diamond.get("h")
+                if (type(n := diamond.get("n", dim)), n) != (int, dim):
+                    raise bad("diamond.n", "absent or equal to 'dim'")
+            if not isinstance(h, list) or not all(
+                isinstance(t, list) and len(t) == 3 and all(type(x) is int for x in t) for t in h
+            ):
+                raise bad(field, "a list of [p, q, v] integer triples")
+            table = {(p, q): v for p, q, v in h}
+            if len(table) < len(h):
+                raise bad(field, "a list of [p, q, v] integer triples with no (p, q) twice")
+            torsion_free = item.get("torsion_free", False)
+            if not isinstance(torsion_free, bool):
+                raise bad("torsion_free", "a boolean")
+            diamond = HodgeDiamond(dim, table)
+            cells = item.get("cells")
+            if cells is not None:
+                if not isinstance(cells, str):
+                    raise bad("cells", "null or a twist polynomial")
+                try:
+                    cells = Parser(atlas).parse_polynomial(cells)
+                except DslError as exc:
+                    raise bad("cells", f"a twist polynomial: {exc}") from None
+                if not cells or diagonal(cells) != diamond:
+                    raise bad("cells", f"a twist polynomial whose diagonal diamond is {field!r}")
+            atlas.add(AtlasEntry(name, diamond, torsion_free, f"user atlas file {path}", cells))
+        except ValueError as exc:
+            raise ValueError(f"atlas file {path}: item {i}: {exc}") from None
 
 
 def _read_expr_arg(arg: str) -> str:
@@ -156,7 +162,7 @@ def _cmd_solve(args, atlas: Atlas) -> int:
             f"solve failed: {type(exc).__name__}: {exc}",
         )
         return 1
-    payload = {"ok": True, "solved": solved.normal_form.to_dict(), "note": solved.note}
+    payload = {"ok": True, "solved": solved.normal_form.to_dict(), "note": CANCELLATION_NOTE}
     _emit(args, payload, str(solved.normal_form))
     return 0
 
@@ -177,7 +183,7 @@ def _cmd_verify(args, atlas: Atlas) -> int:
         print("left normal form:  " + json.dumps(derivation.lhs.to_dict()))
         print("right normal form: " + json.dumps(derivation.rhs.to_dict()))
         print(f"solved M(X) = {json.dumps(nf.to_dict())}")
-        print(f"note: {solved.note}")
+        print(f"note: {CANCELLATION_NOTE}")
         print("Hodge diamond:")
         print(diamond.pretty())
         print("Betti numbers: " + " ".join(map(str, diamond.betti())))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .tatepoly import ONE, Frozen, L
 from .motive import (
+    CANCELLATION_NOTE,
     Atom,
     AtomRegistry,
     MotiveAtom,
@@ -64,6 +65,7 @@ def _scenario_atoms() -> dict[str, ScenarioAtom]:
 
 # built once at import and never written after; the blow-up gates check REGISTRY
 ATOMS = _scenario_atoms()
+EXPECTED_MX = NormalForm({"B": ONE, "Y": L**2})  # the candidate answer substituted for X
 REGISTRY = AtomRegistry()
 for _name, _atom in ATOMS.items():
     REGISTRY.register(MotiveAtom(_name, _atom.dim))
@@ -151,11 +153,6 @@ def build_lhs(s: GMScenario):
     return blow_up(top, center, s.codim_lhs_center, REGISTRY)
 
 
-def expected_mx() -> NormalForm:
-    """The candidate answer substituted during verification: B + Y * L^2."""
-    return NormalForm({"B": ONE, "Y": L**2})
-
-
 class Derivation(Frozen):
     """A scenario's one derivation pass: its facts validated, the lhs then the
     rhs built, and only then both normalized once and compared after
@@ -222,7 +219,7 @@ def verify_identity(s: GMScenario) -> Derivation:
     except (ScenarioError, DimensionMismatchError, InvalidRankError) as exc:
         return Derivation(False, f"construction failed: {exc}", error=exc)
     lhs, rhs = normalize(lhs), normalize(rhs)
-    substituted = lhs.substitute("X", expected_mx())
+    substituted = lhs.substitute("X", EXPECTED_MX)
     if substituted == rhs:
         return Derivation(True, "identity holds", lhs, rhs)
     diffs = []
@@ -263,7 +260,7 @@ def full_report(s: GMScenario) -> dict:
     out.update(
         {
             "solved": solved.normal_form.to_dict(),
-            "solved_note": solved.note,
+            "solved_note": CANCELLATION_NOTE,
             "hodge": diamond.to_json_dict(),
             "betti": list(diamond.betti()),
             "euler": diamond.euler(),

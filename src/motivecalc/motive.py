@@ -196,10 +196,9 @@ CANCELLATION_NOTE = (
 
 
 class Solved(Frozen):
-    """Result of solve_tensor_factor, with the modeling caveat attached."""
+    """Result of solve_tensor_factor; CANCELLATION_NOTE states its modeling caveat."""
 
     __slots__ = ("normal_form",)
-    note = CANCELLATION_NOTE  # a class constant, not a field
 
     def __init__(self, normal_form: NormalForm):
         object.__setattr__(self, "normal_form", normal_form)

@@ -206,14 +206,14 @@ class TatePolynomial(Frozen):
     def __pow__(self, n: int) -> "TatePolynomial":
         if n < 0:
             raise ValueError("negative power")
-        # exponentiation by squaring: O(log n) multiplications
-        out, base = ONE, self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
+        if not n:
+            return ONE
+        # square from the leading bit down: bit_length + bit_count - 2 products, none by ONE
+        out = self
+        for bit in bin(n)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def div_exact(self, d: "TatePolynomial") -> "TatePolynomial":

@@ -88,6 +88,21 @@ MUTANTS = {
         "ONE\n        return {}\n",
     ),
     "--atlas repeated (p, q) refusal": ("cli.py", "if len(table) < len(h):", "if False:"),
+    "--atlas item refusal re-raised bare": (
+        "cli.py",
+        'raise ValueError(f"atlas file {path}: item {i}: {exc}") from None',
+        "raise",
+    ),
+    "--atlas diamond.n check": (
+        "cli.py",
+        'if (type(n := diamond.get("n", dim)), n) != (int, dim):',
+        "if False:",
+    ),
+    "power multiplies by the base on the wrong bit": (
+        "tatepoly.py",
+        'if bit == "1":',
+        'if bit == "0":',
+    ),
 }
 
 # survivors that no test can tell apart from the original, each with its

@@ -318,3 +318,9 @@ def test_hilb2_built_once_and_requires_base():
         atlas.hilb2("K3")
     atlas.k3()
     assert atlas.hilb2("K3") is atlas.hilb2("K3")
+
+
+def test_hilb2_of_a_missing_base_raises_its_name():
+    with pytest.raises(KeyError) as exc:
+        Atlas().hilb2("missing")
+    assert type(exc.value) is KeyError and exc.value.args == ("missing",)

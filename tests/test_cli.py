@@ -7,7 +7,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 import motivecalc
@@ -256,7 +256,9 @@ class TestAtlas:
         path.write_text(json.dumps([{"name": name, "dim": dim, "h": h}]))
         got, out, err = run(capsys, "betti", "--atlas", str(path), name)
         assert got == code
-        assert (out, err) == ((stream, "") if code == 0 else ("", stream))
+        # a refusal names the file and the item
+        named = stream.replace("error: ", f"error: atlas file {path}: item 0: ", 1)
+        assert (out, err) == ((stream, "") if code == 0 else ("", named))
 
     @pytest.mark.parametrize(
         "doc, message",
@@ -309,6 +311,32 @@ class TestAtlas:
                     {"name": "E", "dim": 1, "diamond": {"h": [[0, 0, 1], [1, 1, 1], [1, 1, 1]]}},
                 ],
                 "item 1: 'diamond.h' must be a list of [p, q, v] integer triples with no (p, q) twice",
+            ),
+            # refusals of the values an item builds name the item too
+            ([{"name": "S", "dim": 2, "h": [[5, 5, 1]]}], "item 0: entry (5,5) outside [0,2]^2"),
+            (
+                [{"name": "S", "dim": 2, "h": [[0, 0, 1], [1, 0, 1]]}],
+                "item 0: diamond of S fails symmetry checks",
+            ),
+            (
+                [
+                    {"name": "P2", "dim": 2, "h": [[0, 0, 1], [1, 1, 1], [2, 2, 1]]},
+                    {"name": "P2", "dim": 2, "h": [[0, 0, 1], [1, 1, 2], [2, 2, 1]]},
+                ],
+                "item 1: entry 'P2' already present",
+            ),
+            # the diamond's own dimension is read, not dropped
+            (
+                [{"name": "S", "dim": 2, "diamond": {"n": 7, "h": [[k, k, 1] for k in range(3)]}}],
+                "item 0: 'diamond.n' must be absent or equal to 'dim'",
+            ),
+            (
+                [{"name": "E", "dim": 1, "diamond": {"n": True, "h": [[0, 0, 1], [1, 1, 1]]}}],
+                "item 0: 'diamond.n' must be absent or equal to 'dim'",
+            ),
+            (
+                [{"name": "E", "dim": 1, "diamond": {"n": 1.0, "h": [[0, 0, 1], [1, 1, 1]]}}],
+                "item 0: 'diamond.n' must be absent or equal to 'dim'",
             ),
         ],
     )
@@ -611,6 +639,9 @@ TEXTS = st.tuples(
 ).map(splice)
 
 
+SURFACE = {"name": "S", "dim": 2, "h": [[0, 0, 1], [1, 1, 1], [2, 2, 1]], "torsion_free": True}
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     argv=st.one_of(
@@ -620,6 +651,13 @@ TEXTS = st.tuples(
     as_json=st.booleans(),
     atlas=st.one_of(st.none(), st.lists(ATLAS_ENTRIES, min_size=1, max_size=2), JSON),
 )
+# a successful --json run of every command, which the derandomized draw never makes
+@example(argv=("normalize", "Q(6) + K3 * L^2"), as_json=True, atlas=None)
+@example(argv=("hodge", "P(2) * (1 + L)"), as_json=True, atlas=None)
+@example(argv=("betti", "S * L + K3"), as_json=True, atlas=[SURFACE])
+@example(argv=("euler", "Gr(2,4) + Q(3) * L"), as_json=True, atlas=None)
+@example(argv=("dim", "Hilb2(K3) * L^3"), as_json=True, atlas=None)
+@example(argv=("solve", "1 + L", "K3", "K3 + K3 * (1 + L)"), as_json=True, atlas=None)
 def test_cli_exit_contract_fuzz(argv, as_json, atlas):
     # exit 0 or 2 for any input, or 1 for a solve that fails, within
     # run_fresh's time and memory limits
@@ -634,8 +672,12 @@ def test_cli_exit_contract_fuzz(argv, as_json, atlas):
     assert "Traceback" not in err
     if code == 2:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    elif as_json:
+        payload = json.loads(out)
+        assert err == "" and out.count("\n") == 1 and isinstance(payload, dict)
+        assert payload["schema"] == "motive-calc/1" and payload["command"] == argv[0]
     else:
-        assert err == "" and (json.loads(out) if as_json else out)
+        assert err == "" and out
 
 
 @pytest.mark.parametrize(

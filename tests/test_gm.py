@@ -18,6 +18,7 @@ from motivecalc import (
 import motivecalc.atlas as atlas
 import motivecalc.gm as gm
 from motivecalc.gm import (
+    EXPECTED_MX,
     FREE,
     UNKNOWN,
     GMScenario,
@@ -26,7 +27,6 @@ from motivecalc.gm import (
     build_d2,
     build_lhs,
     build_rhs,
-    expected_mx,
     full_report,
     perturbed,
     solve_mx,
@@ -156,8 +156,8 @@ def test_negative_controls(changes):
 class TestSolve:
     def test_solved_normal_form(self, scenario):
         solved = solve_mx(scenario)
-        assert solved.normal_form == expected_mx()
-        assert "cancellation" in solved.note
+        assert solved.normal_form == EXPECTED_MX
+        assert "cancellation" in gm.CANCELLATION_NOTE
 
     def test_resubstitution_reproduces_rhs(self, scenario):
         solved = solve_mx(scenario).normal_form

@@ -1,3 +1,4 @@
+import math
 from time import perf_counter
 
 import pytest
@@ -68,6 +69,17 @@ class TestPower:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError, match="negative power"):
             L**-1
+
+    def test_squares_from_the_base_never_from_one(self, monkeypatch):
+        ops, mul = [], TatePolynomial.__mul__
+        monkeypatch.setattr(TatePolynomial, "__mul__", lambda a, b: ops.append((a, b)) or mul(a, b))
+        p = ONE + L
+        assert p**0 == ONE and ops == []
+        for n in range(1, 65):
+            ops.clear()
+            assert (p**n).coeffs == {k: math.comb(n, k) for k in range(n + 1)}
+            assert len(ops) == n.bit_length() + n.bit_count() - 2
+            assert all(ONE not in pair for pair in ops)
 
 
 class TestDivision:
