@@ -11,7 +11,7 @@ import json
 import sys
 
 from .tatepoly import ONE, NotDivisibleError
-from .motive import CANCELLATION_NOTE, MotiveAtom, NotASummandError, dim_of, normalize
+from .motive import CANCELLATION_NOTE, MotiveAtom, NotASummandError, normalize
 from .motive import solve_tensor_factor
 from .hodge import HodgeDiamond, diagonal, realize_hodge
 from .atlas import Atlas, AtlasEntry
@@ -127,8 +127,7 @@ def _cmd_expr(args, atlas: Atlas) -> int:
     parser = Parser(atlas)
     expr = parser.parse(_read_expr_arg(args.expr))
     if args.command == "dim":
-        d = dim_of(expr, atlas.registry)
-        _emit(args, {"dim": d}, str(d))
+        _emit(args, {"dim": expr.top}, str(expr.top))
         return 0
     nf = normalize(expr)
     if args.command == "normalize":

@@ -24,8 +24,8 @@ import re
 import sys
 
 from .tatepoly import ONE, TatePolynomial, ladder
-from .motive import Atom, MotiveExpr, Sum, TensorTwist
-from .atlas import Atlas
+from .motive import Atom, MotiveExpr, Sum, TensorTwist, UnregisteredAtomError
+from .atlas import Atlas, AtlasEntry
 from .formulas import blow_up, kunneth, projective_bundle, projective_fibration
 
 
@@ -62,28 +62,29 @@ _TEXT_RE = re.compile(_TOKEN_RE.pattern + r"|\S")
 EXPR = None
 
 
+def _atom(entry: AtlasEntry) -> Atom:
+    return Atom(entry.name, entry.diamond.n)
+
+
 def _hilb2(atlas: Atlas, inner: MotiveExpr) -> MotiveExpr:
     if not isinstance(inner, Atom) or atlas.get(inner.name) is None:
         raise ValueError("argument must name an atlas surface")
-    return Atom(atlas.hilb2(inner.name).name)
+    return _atom(atlas.hilb2(inner.name))
 
 
 # name -> (argument kinds, constructor taking the atlas and the arguments);
 # the constructors check the argument values
 BUILTINS = {
-    "P": (("a dimension",), lambda atlas, n: Atom(atlas.projective_space(n).name)),
-    "Q": (("a dimension",), lambda atlas, n: Atom(atlas.quadric(n).name)),
+    "P": (("a dimension",), lambda atlas, n: _atom(atlas.projective_space(n))),
+    "Q": (("a dimension",), lambda atlas, n: _atom(atlas.quadric(n))),
     "Gr": (
         ("a subspace dimension", "an ambient dimension"),
-        lambda atlas, k, n: Atom(atlas.grassmannian(k, n).name),
+        lambda atlas, k, n: _atom(atlas.grassmannian(k, n)),
     ),
     "Hilb2": ((EXPR,), _hilb2),
     "PB": ((EXPR, "a bundle rank"), lambda atlas, e, r: projective_bundle(e, r)),
     "Fib": ((EXPR, "a fiber dimension"), lambda atlas, e, k: projective_fibration(e, k)),
-    "Bl": (
-        (EXPR, EXPR, "a codimension"),
-        lambda atlas, a, c, codim: blow_up(a, c, codim, atlas.registry),
-    ),
+    "Bl": ((EXPR, EXPR, "a codimension"), lambda atlas, a, c, codim: blow_up(a, c, codim)),
     "Prod": ((EXPR, EXPR), lambda atlas, a, b: kunneth(a, b, atlas)),
 }
 
@@ -219,9 +220,11 @@ class Parser:
                 self.atlas.k3()
             except ValueError as exc:
                 raise self._error(i, f"K3: {exc}", ArityError) from exc
-        if name in self.atlas.registry:
-            return Atom(name)
-        raise self._error(i, f"unknown identifier {self._quote(name)}", UnknownIdentifierError)
+        try:
+            return Atom(name, self.atlas.registry.dim(name))
+        except UnregisteredAtomError:
+            quoted = self._quote(name)
+            raise self._error(i, f"unknown identifier {quoted}", UnknownIdentifierError) from None
 
     def _builtin(self, at: int) -> MotiveExpr:
         t = self._t

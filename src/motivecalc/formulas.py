@@ -5,18 +5,19 @@ loci.
 
 These constructors only manipulate decompositions; no ideal-theoretic
 geometry happens here.  Every codimension is an explicit input, validated
-against the dimension bookkeeping of the registry, never inferred.
+against the top weights of the expressions, never inferred.
 """
 
 from __future__ import annotations
 
 from .tatepoly import MAX_DIM, ladder
-from .motive import Atom, AtomRegistry, MotiveExpr, Sum, TensorTwist, dim_of
+from .motive import Atom, MotiveExpr, Sum, TensorTwist
 from .atlas import Atlas
 
 
 class DimensionMismatchError(ValueError):
-    """Blow-up center dimension + codimension disagrees with the ambient."""
+    """A fiber dimension or blow-up codimension out of range, or a blow-up
+    center dimension + codimension that disagrees with the ambient."""
 
 
 class NonCellularFactorError(ValueError):
@@ -38,22 +39,19 @@ def projective_fibration(base: MotiveExpr, k: int) -> MotiveExpr:
     """Zariski-locally-trivial P^k-fibration: base tensored by
     1 + L + ... + L^k, and base itself when k == 0."""
     if not 0 <= k <= MAX_DIM:
-        raise ValueError(f"fiber dimension {k} outside 0..{MAX_DIM}")
+        raise DimensionMismatchError(f"fiber dimension {k} outside 0..{MAX_DIM}")
     return base if k == 0 else TensorTwist(base, ladder(0, k))
 
 
-def blow_up(
-    ambient: MotiveExpr, center: MotiveExpr, codim: int, registry: AtomRegistry
-) -> MotiveExpr:
+def blow_up(ambient: MotiveExpr, center: MotiveExpr, codim: int) -> MotiveExpr:
     """Smooth blow-up: ambient plus center tensored by L + ... + L^(codim-1).
 
-    The declared codimension is validated against the dimensions of the
-    registry's atoms.
+    The declared codimension is validated against the top weights of the
+    ambient and the center.
     """
     if not 2 <= codim <= MAX_DIM + 1:
-        raise ValueError(f"blow-up codimension {codim} outside 2..{MAX_DIM + 1}")
-    da = dim_of(ambient, registry)
-    dc = dim_of(center, registry)
+        raise DimensionMismatchError(f"blow-up codimension {codim} outside 2..{MAX_DIM + 1}")
+    da, dc = ambient.top, center.top
     if dc + codim != da:
         raise DimensionMismatchError(f"center dim {dc} + codim {codim} != ambient dim {da}")
     return Sum((ambient, TensorTwist(center, ladder(1, codim - 1))))

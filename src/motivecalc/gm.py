@@ -16,8 +16,6 @@ from .tatepoly import ONE, Frozen, L
 from .motive import (
     CANCELLATION_NOTE,
     Atom,
-    AtomRegistry,
-    MotiveAtom,
     NormalForm,
     Solved,
     normalize,
@@ -63,12 +61,13 @@ def _scenario_atoms() -> dict[str, ScenarioAtom]:
     }
 
 
-# built once at import and never written after; the blow-up gates check REGISTRY
+# built once at import and never written after
 ATOMS = _scenario_atoms()
 EXPECTED_MX = NormalForm({"B": ONE, "Y": L**2})  # the candidate answer substituted for X
-REGISTRY = AtomRegistry()
-for _name, _atom in ATOMS.items():
-    REGISTRY.register(MotiveAtom(_name, _atom.dim))
+
+
+def _atom(name: str) -> Atom:
+    return Atom(name, ATOMS[name].dim)
 
 
 @dataclass
@@ -125,32 +124,32 @@ class GMScenario:
 
 def build_d2(s: GMScenario):
     """The corank-2 degeneracy locus as a fibration over the Hilbert-square divisor."""
-    return projective_fibration(Atom("Hilb2QY"), s.d2_fiber)
+    return projective_fibration(_atom("Hilb2QY"), s.d2_fiber)
 
 
 def build_d1_prime(s: GMScenario):
     """The resolved corank-1 locus as an iterated blow-up."""
-    psy = projective_fibration(Atom("Y"), s.psy_fiber)
-    pbr = projective_fibration(Atom("B"), s.pbr_fiber)
-    inner = blow_up(pbr, psy, s.codim_psy, REGISTRY)
+    psy = projective_fibration(_atom("Y"), s.psy_fiber)
+    pbr = projective_fibration(_atom("B"), s.pbr_fiber)
+    inner = blow_up(pbr, psy, s.codim_psy)
     center = projective_fibration(build_d2(s), s.rho_fiber)
-    return blow_up(inner, center, s.codim_rho_d2, REGISTRY)
+    return blow_up(inner, center, s.codim_rho_d2)
 
 
 def build_rhs(s: GMScenario):
     """Double blow-up of the product side, grouped by the B, Y and
     Hilbert-square atoms."""
-    bp = projective_fibration(Atom("B"), s.pv5_dim)
-    stage1 = blow_up(bp, build_d2(s), s.codim_d2, REGISTRY)
-    return blow_up(stage1, build_d1_prime(s), s.codim_d1, REGISTRY)
+    bp = projective_fibration(_atom("B"), s.pv5_dim)
+    stage1 = blow_up(bp, build_d2(s), s.codim_d2)
+    return blow_up(stage1, build_d1_prime(s), s.codim_d1)
 
 
 def build_lhs(s: GMScenario):
     """The same variety fibered over the unknown X, blown up along a
     projective fibration over the corank-2 locus."""
-    top = projective_fibration(projective_fibration(Atom("X"), s.px_fiber), s.ux_fiber)
+    top = projective_fibration(projective_fibration(_atom("X"), s.px_fiber), s.ux_fiber)
     center = projective_fibration(build_d2(s), s.lhs_center_fiber)
-    return blow_up(top, center, s.codim_lhs_center, REGISTRY)
+    return blow_up(top, center, s.codim_lhs_center)
 
 
 class Derivation(Frozen):
@@ -210,7 +209,7 @@ class Derivation(Frozen):
 def verify_identity(s: GMScenario) -> Derivation:
     """Derive the scenario once: validate, build the lhs, build the rhs, then
     normalize both and compare them after substituting X -> B + Y*L^2. Every
-    gate (a scenario check, a blow-up dimension check or a bad rank) runs
+    gate (a scenario check, a dimension or codimension check or a bad rank) runs
     before any normal form is built; its rejection is reported as a failed
     verification, not raised, and any other error propagates."""
     try:

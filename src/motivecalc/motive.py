@@ -1,9 +1,10 @@
 """Expression algebra for motive decompositions.
 
 Expressions are trees built from named atoms, direct sums, and tensoring by
-a twist polynomial; the registry maps atom names to dimensions, and an atom
-to be solved for is an ordinary registered atom.  The canonical
-representation is a NormalForm: a map atom-name -> TatePolynomial.
+a twist polynomial; each node carries its top weight (an atom's is its
+dimension), and an atom to be solved for is an ordinary atom.  The registry
+maps atom names to dimensions.  The canonical representation is a
+NormalForm: a map atom-name -> TatePolynomial.
 Equality, summand subtraction, and the solve/cancel step all happen at the
 normal-form level.
 """
@@ -51,30 +52,35 @@ class AtomRegistry:
         except KeyError:
             raise UnregisteredAtomError(name) from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._dims
-
 
 # -- expression trees ------------------------------------------------------
 
 
 class Atom(Frozen):
-    __slots__ = ("name",)
+    __slots__ = ("name", "top")  # top: the atom's dimension
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, top: int):
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "top", top)
 
 
-class Sum(Frozen):
+class _Derived(Frozen):
+    # the top weight of a node built from others: it sits outside the
+    # subclass's own __slots__, so equality, repr, copy and pickle skip it
+    __slots__ = ("top",)
+
+
+class Sum(_Derived):
     __slots__ = ("children",)
 
     def __init__(self, children: tuple[MotiveExpr, ...]):
         if not children:
             raise ValueError("Sum needs at least one child")
         object.__setattr__(self, "children", children)
+        object.__setattr__(self, "top", max([c.top for c in children]))
 
 
-class TensorTwist(Frozen):
+class TensorTwist(_Derived):
     __slots__ = ("child", "twist")
 
     def __init__(self, child: MotiveExpr, twist: TatePolynomial):
@@ -82,6 +88,7 @@ class TensorTwist(Frozen):
             raise ValueError("tensor twist factor must be nonzero")
         object.__setattr__(self, "child", child)
         object.__setattr__(self, "twist", twist)
+        object.__setattr__(self, "top", child.top + twist.degree)
 
 
 # an expression node: a named atom, a direct sum, or a tensor by a twist
@@ -169,23 +176,9 @@ def normalize(e: MotiveExpr) -> NormalForm:
 
 
 def dim_of(e: MotiveExpr, registry: AtomRegistry) -> int:
-    """Top weight of an expression: dim(atom) + k for each L^k twist, max over
-    sums.  Every atom needs a registered dimension, the unknown of a solve
-    included (both sides of the solve pipeline are dimension-checked)."""
-    top = 0
-    stack = [(e, 0)]  # (node, total degree of the twists above it)
-    while stack:
-        node, shift = stack.pop()
-        t = type(node)
-        if t is Atom:
-            top = max(top, registry.dim(node.name) + shift)
-        elif t is Sum:
-            stack.extend((c, shift) for c in reversed(node.children))
-        elif t is TensorTwist:
-            stack.append((node.child, shift + node.twist.degree))
-        else:
-            raise TypeError(f"not a MotiveExpr: {node!r}")
-    return top
+    """Top weight of an expression, ``e.top``; the registry is not read.  Kept
+    because perfbench/worker.py times this call."""
+    return e.top
 
 
 CANCELLATION_NOTE = (

@@ -56,7 +56,8 @@ def carried(q: TatePolynomial, d: TatePolynomial, width: int = 1) -> TatePolynom
     return TatePolynomial(digits)
 
 
-ATOM_NAMES = ["P2", "P4", "Q6", "K3", "Gr(2,5)"]
+# the atoms of session_atlas and their dimensions
+ATOM_DIMS = {"P2": 2, "P4": 4, "Q6": 6, "K3": 2, "Gr(2,5)": 6}
 
 
 def session_atlas() -> Atlas:
@@ -69,8 +70,8 @@ def session_atlas() -> Atlas:
     return atlas
 
 
-def motive_exprs(names=tuple(ATOM_NAMES), max_leaves=12):
-    base = st.sampled_from(list(names)).map(Atom)
+def motive_exprs(max_leaves=12):
+    base = st.sampled_from(list(ATOM_DIMS.items())).map(lambda nd: Atom(*nd))
     return st.recursive(
         base,
         lambda children: st.one_of(

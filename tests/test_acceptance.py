@@ -37,7 +37,6 @@ from motivecalc.formulas import projective_fibration
 from motivecalc.gm import (
     ATOMS,
     FREE,
-    REGISTRY,
     GMScenario,
     ScenarioError,
     build_d1_prime,
@@ -195,10 +194,10 @@ class TestCriterion8PropertySuites:
         dc = atlas.registry.dim(center)
         ambient = atlas.projective_space(dc + codim).name
         table = atlas.diamond_table()
-        e = blow_up(Atom(ambient), Atom(center), codim, atlas.registry)
+        e = blow_up(Atom(ambient, dc + codim), Atom(center, dc), codim)
         chi = realize_hodge(normalize(e), atlas.diamond_table()).euler()
         assert chi == table[ambient].euler() + (codim - 1) * table[center].euler()
-        pb = projective_bundle(Atom(center), rank)
+        pb = projective_bundle(Atom(center, dc), rank)
         assert realize_hodge(normalize(pb), table).euler() == rank * table[center].euler()
 
     def test_c_symmetry_of_all_emitted_diamonds(self):
@@ -214,11 +213,10 @@ class TestCriterion8PropertySuites:
 
     def test_d_blowup_order_invariance(self):
         s = GMScenario()
-        bp = projective_fibration(Atom("B"), s.pv5_dim)
+        bp = projective_fibration(Atom("B", 6), s.pv5_dim)
         d2, d1p = build_d2(s), build_d1_prime(s)
-        reg = REGISTRY
-        a = blow_up(blow_up(bp, d2, s.codim_d2, reg), d1p, s.codim_d1, reg)
-        b = blow_up(blow_up(bp, d1p, s.codim_d1, reg), d2, s.codim_d2, reg)
+        a = blow_up(blow_up(bp, d2, s.codim_d2), d1p, s.codim_d1)
+        b = blow_up(blow_up(bp, d1p, s.codim_d1), d2, s.codim_d2)
         assert normalize(a) == normalize(b)
 
     @settings(max_examples=1000, deadline=None)

@@ -41,8 +41,8 @@ class TestParse:
     def test_sum_with_twist(self, parser):
         e = parser.parse("Q(6) + K3 * L^2")
         assert isinstance(e, Sum)
-        assert e.children[0] == Atom("Q6")
-        assert e.children[1] == TensorTwist(Atom("K3"), P("L^2"))
+        assert e.children[0] == Atom("Q6", 6)
+        assert e.children[1] == TensorTwist(Atom("K3", 2), P("L^2"))
 
     def test_first_blowup_stage(self, parser):
         parser.atlas.registry.register(
@@ -73,11 +73,11 @@ class TestParse:
 
     def test_hilb2_builtin(self, parser):
         e = parser.parse("Hilb2(K3)")
-        assert e == Atom("Hilb2K3")
+        assert e == Atom("Hilb2K3", 4)
         assert parser.atlas.get("Hilb2K3").diamond.euler() == 324
 
     def test_gr_builtin(self, parser):
-        assert parser.parse("Gr(2,5)") == Atom("Gr(2,5)")
+        assert parser.parse("Gr(2,5)") == Atom("Gr(2,5)", 6)
 
     def test_whitespace_insensitive(self, parser):
         a = parser.parse("Q(6)+K3*L^2")
@@ -284,7 +284,7 @@ class TestParserTexts:
         assert str(exc.value) == message
 
     def test_a_non_ascii_decimal_digit_is_a_numeral(self, parser):
-        assert parser.parse("P(٣)") == Atom("P3")
+        assert parser.parse("P(٣)") == Atom("P3", 3)
 
     @settings(max_examples=200, deadline=None)
     @given(motive_exprs(), st.data())
@@ -321,7 +321,7 @@ class TestNestingDepth:
     def test_deepest_accepted(self, parser):
         depth = MAX_DEPTH - 1  # the outermost expression is the first level
         e = parser.parse("(" * depth + "K3" + ")" * depth)
-        assert e == Atom("K3")
+        assert e == Atom("K3", 2)
 
     def test_deeper_rejected_with_position(self, parser):
         with pytest.raises(DslSyntaxError) as exc:
@@ -359,7 +359,7 @@ class TestNestingDepth:
     def test_parser_reusable_after_depth_error(self, parser):
         with pytest.raises(DslSyntaxError):
             parser.parse("(" * 3000 + "K3" + ")" * 3000)
-        assert parser.parse("(K3)") == Atom("K3")
+        assert parser.parse("(K3)") == Atom("K3", 2)
 
 
 class TestPrintRoundTrip:
@@ -389,7 +389,7 @@ class TestPrintRoundTrip:
         assert print_expr(parser.parse(text)) == text
 
     def test_deep_tree_built_in_code(self):
-        e = Atom("K3")
+        e = Atom("K3", 2)
         for _ in range(5000):
             e = TensorTwist(e, ladder(0, 1))
         assert print_expr(e) == "K3" + " * (1 + L)" * 5000

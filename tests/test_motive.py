@@ -27,7 +27,7 @@ from motivecalc.dsl import Parser
 from motivecalc.motive import CANCELLATION_NOTE, Solved
 from motivecalc.tatepoly import ONE, ZERO, L
 
-from strategies import motive_exprs, nonzero_tate_polys, tate_polys
+from strategies import motive_exprs, nonzero_tate_polys, print_expr, session_atlas, tate_polys
 
 P = Parser(Atlas()).parse_polynomial
 
@@ -45,7 +45,7 @@ RHS_NF = NormalForm(
 
 def full_rhs_tree():
     """The double blow-up of the product side, written out as a raw tree."""
-    B, Y, H = Atom("B"), Atom("Y"), Atom("Hilb")
+    B, Y, H = Atom("B", 6), Atom("Y", 2), Atom("Hilb", 3)
     bp = TensorTwist(B, ladder(0, 4))
     d2 = TensorTwist(H, ladder(0, 1))
     d1p = Sum(
@@ -60,7 +60,7 @@ def full_rhs_tree():
 
 class TestNormalize:
     def test_distributivity(self):
-        B = Atom("B")
+        B = Atom("B", 6)
         e = Sum((TensorTwist(B, ladder(0, 1)), TensorTwist(B, P("L^2"))))
         assert normalize(e) == NormalForm({"B": ladder(0, 2)})
 
@@ -68,15 +68,15 @@ class TestNormalize:
         assert normalize(full_rhs_tree()) == RHS_NF
 
     def test_unknown_with_tensor_factor(self):
-        hilb = TensorTwist(Atom("Hilb"), ladder(0, 1))
-        e = Sum((TensorTwist(Atom("X"), M1), TensorTwist(hilb, ladder(0, 2) * ladder(1, 3))))
+        hilb = TensorTwist(Atom("Hilb", 3), ladder(0, 1))
+        e = Sum((TensorTwist(Atom("X", 6), M1), TensorTwist(hilb, ladder(0, 2) * ladder(1, 3))))
         assert normalize(e) == NormalForm({"X": M1, "Hilb": M2_TWIST})
 
     def test_rejects_empty_sum_and_zero_twist(self):
         with pytest.raises(ValueError):
             Sum(())
         with pytest.raises(ValueError):
-            TensorTwist(Atom("B"), ZERO)
+            TensorTwist(Atom("B", 6), ZERO)
 
 
 class TestNodes:
@@ -85,8 +85,8 @@ class TestNodes:
         [
             lambda: 2 * L,
             lambda: L * 2,
-            lambda: Atom("K3") + Atom("K3"),
-            lambda: Atom("K3") * L,
+            lambda: Atom("K3", 2) + Atom("K3", 2),
+            lambda: Atom("K3", 2) * L,
         ],
         ids=["int*L", "L*int", "Atom+Atom", "Atom*L"],
     )
@@ -96,28 +96,28 @@ class TestNodes:
             op()
 
     def test_every_node_is_a_motive_expr(self):
-        k3 = Atom("K3")
+        k3 = Atom("K3", 2)
         for node in (k3, Sum((k3,)), TensorTwist(k3, L)):
             assert isinstance(node, MotiveExpr)
 
     def test_equal_nodes_hash_equally(self):
         for build in (
-            lambda: Atom("K3"),
-            lambda: Sum((Atom("K3"), Atom("B"))),
-            lambda: TensorTwist(Sum((Atom("K3"),)), ladder(0, 2)),
+            lambda: Atom("K3", 2),
+            lambda: Sum((Atom("K3", 2), Atom("B", 6))),
+            lambda: TensorTwist(Sum((Atom("K3", 2),)), ladder(0, 2)),
         ):
             a, b = build(), build()
             assert a is not b and a == b and hash(a) == hash(b)
-        assert TensorTwist(Atom("K3"), L) != TensorTwist(Atom("K3"), ladder(0, 1))
+        assert TensorTwist(Atom("K3", 2), L) != TensorTwist(Atom("K3", 2), ladder(0, 1))
 
     def test_equal_only_within_one_class(self):
-        k3 = Atom("K3")
+        k3 = Atom("K3", 2)
         assert k3 != ("K3",) and ("K3",) != k3
         assert k3 != Sum((k3,)) and Sum((k3,)) != (k3,)
         assert TensorTwist(k3, L) != (k3, L)
 
     def test_fields_are_read_only(self):
-        k3 = Atom("K3")
+        k3 = Atom("K3", 2)
         for node, field in ((k3, "name"), (Sum((k3,)), "children"), (TensorTwist(k3, L), "twist")):
             with pytest.raises(AttributeError):
                 setattr(node, field, k3)
@@ -129,37 +129,37 @@ class TestNodes:
         assert k3.name == "K3"
 
     def test_copy_and_pickle_rebuild_equal_nodes(self):
-        twisted = TensorTwist(Atom("B"), ladder(0, 2))
+        twisted = TensorTwist(Atom("B", 6), ladder(0, 2))
         assert copy.copy(twisted) == twisted and copy.copy(twisted).twist is twisted.twist
-        tree = Sum((Atom("K3"), Sum((Atom("B"),)), twisted))
+        tree = Sum((Atom("K3", 2), Sum((Atom("B", 6),)), twisted))
         for clone in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
             assert clone == tree and type(clone.children[1]) is Sum
 
     def test_repr_is_the_field_form(self):
-        k3 = Atom("K3")
-        assert repr(k3) == "Atom(name='K3')"
-        assert repr(Sum((k3,))) == "Sum(children=(Atom(name='K3'),))"
+        # a derived top weight is no field: the constructor does not take it
+        k3 = Atom("K3", 2)
+        assert repr(k3) == "Atom(name='K3', top=2)"
+        assert repr(Sum((k3,))) == "Sum(children=(Atom(name='K3', top=2),))"
         assert repr(TensorTwist(k3, L)) == (
-            "TensorTwist(child=Atom(name='K3'), twist=TatePolynomial({1: 1}))"
+            "TensorTwist(child=Atom(name='K3', top=2), twist=TatePolynomial({1: 1}))"
         )
 
     def test_walks_refuse_other_values(self):
-        reg = AtomRegistry()
-        reg.register(MotiveAtom("K3", 2))
-        for bad in (("K3",), Sum((("K3",),)), TensorTwist("K3", L)):
-            with pytest.raises(TypeError, match="not a MotiveExpr"):
-                normalize(bad)
-            with pytest.raises(TypeError, match="not a MotiveExpr"):
-                dim_of(bad, reg)
+        with pytest.raises(TypeError, match="not a MotiveExpr"):
+            normalize(("K3",))
+        # a node over other values has no top weight, so it is refused when built
+        for build in (lambda: Sum((("K3",),)), lambda: TensorTwist("K3", L)):
+            with pytest.raises(AttributeError, match="top"):
+                build()
 
 
 class TestEqual:
     def test_distributed_vs_factored(self):
-        A = Atom("A")
+        A = Atom("A", 0)
         assert normalize(TensorTwist(A, ladder(0, 1))) == normalize(Sum((A, TensorTwist(A, L))))
 
     def test_two_sided_identity(self):
-        lhs = Sum((TensorTwist(Atom("X"), M1), TensorTwist(Atom("Hilb"), M2_TWIST)))
+        lhs = Sum((TensorTwist(Atom("X", 6), M1), TensorTwist(Atom("Hilb", 3), M2_TWIST)))
         rhs = full_rhs_tree()
         replaced = normalize(lhs).substitute(
             "X", NormalForm({"B": ONE, "Y": P("L^2")})
@@ -167,7 +167,7 @@ class TestEqual:
         assert replaced == normalize(rhs)
 
     def test_distinct_atoms_differ(self):
-        assert normalize(Atom("B")) != normalize(Atom("Y"))
+        assert normalize(Atom("B", 6)) != normalize(Atom("Y", 2))
 
 
 class TestSubtractSummand:
@@ -262,27 +262,82 @@ class TestSolveTensorFactor:
 
 
 class TestDimOf:
-    @pytest.fixture
-    def registry(self):
-        reg = AtomRegistry()
-        reg.register(MotiveAtom("B", 6))
-        reg.register(MotiveAtom("Hilb", 3))
-        reg.register(MotiveAtom("pt", 0))
-        return reg
+    def test_twist_adds_weight(self):
+        assert TensorTwist(Atom("B", 6), P("L^4")).top == 10
 
-    def test_twist_adds_weight(self, registry):
-        assert dim_of(TensorTwist(Atom("B"), P("L^4")), registry) == 10
+    def test_point(self):
+        # dim_of reads the node's top weight, not the registry
+        assert dim_of(Atom("pt", 0), AtomRegistry()) == 0
 
-    def test_point(self, registry):
-        assert dim_of(Atom("pt"), registry) == 0
+    def test_sum_takes_max(self):
+        e = Sum((Atom("Hilb", 3), TensorTwist(Atom("Hilb", 3), ladder(0, 1)), Atom("pt", 0)))
+        assert e.top == 4
 
-    def test_sum_takes_max(self, registry):
-        e = TensorTwist(Atom("Hilb"), ladder(0, 1))
-        assert dim_of(e, registry) == 4
 
-    def test_unregistered(self, registry):
-        with pytest.raises(UnregisteredAtomError):
-            dim_of(Atom("nope"), registry)
+def reference_top(e: MotiveExpr, registry: AtomRegistry) -> int:
+    """Top weight by a walk over the registry: dim(atom) + k for each L^k
+    twist, max over sums."""
+    top = 0
+    stack = [(e, 0)]  # (node, total degree of the twists above it)
+    while stack:
+        node, shift = stack.pop()
+        t = type(node)
+        if t is Atom:
+            top = max(top, registry.dim(node.name) + shift)
+        elif t is Sum:
+            stack.extend((c, shift) for c in reversed(node.children))
+        elif t is TensorTwist:
+            stack.append((node.child, shift + node.twist.degree))
+        else:
+            raise TypeError(f"not a MotiveExpr: {node!r}")
+    return top
+
+
+def atoms_of(e: MotiveExpr) -> list[Atom]:
+    out, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Atom):
+            out.append(node)
+        elif isinstance(node, Sum):
+            stack.extend(node.children)
+        else:
+            stack.append(node.child)
+    return out
+
+
+class TestTopWeight:
+    """Each node's stored top weight agrees with a walk of its tree."""
+
+    @settings(max_examples=300)
+    @given(motive_exprs())
+    def test_built_trees(self, e):
+        assert e.top == reference_top(e, session_atlas().registry)
+
+    @settings(max_examples=300, deadline=None)
+    @given(motive_exprs())
+    def test_parsed_programs(self, e):
+        atlas = session_atlas()
+        parsed = Parser(atlas).parse(print_expr(e))
+        assert parsed.top == reference_top(parsed, atlas.registry) == e.top
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "Bl(Prod(Q(6), P(4)), PB(K3, 3), 6)",
+            "Fib(Hilb2(K3), 3) * (1 + L^5) + Gr(2,5) * L",
+            "Bl(P(4), P(2), 2) + X * L^2 + Hilb2QY",
+            "PB(Fib(X, 0), 1)",
+        ],
+    )
+    def test_every_parsed_atom_has_its_registered_dim(self, text):
+        atlas = session_atlas()
+        atlas.registry.register(MotiveAtom("X", 6))
+        atlas.registry.register(MotiveAtom("Hilb2QY", 3))
+        parsed = Parser(atlas).parse(text)
+        for atom in atoms_of(parsed):
+            assert atom.top == atlas.registry.dim(atom.name)
+        assert parsed.top == reference_top(parsed, atlas.registry)
 
 
 class TestNormalizeProperties:
@@ -338,28 +393,21 @@ def test_registry_takes_only_int_dims(dim):
 class TestDeepTrees:
     DEPTH = 5000
 
-    @pytest.fixture
-    def registry(self):
-        reg = AtomRegistry()
-        reg.register(MotiveAtom("B", 6))
-        reg.register(MotiveAtom("pt", 0))
-        return reg
-
-    def test_twist_chain(self, registry):
-        e = Atom("B")
+    def test_twist_chain(self):
+        e = Atom("B", 6)
         for _ in range(self.DEPTH):
             e = TensorTwist(e, L)
         assert normalize(e) == NormalForm({"B": TatePolynomial({self.DEPTH: 1})})
-        assert dim_of(e, registry) == 6 + self.DEPTH
+        assert e.top == 6 + self.DEPTH
 
-    def test_alternating_sum_twist_chain(self, registry):
+    def test_alternating_sum_twist_chain(self):
         # pt + (pt + (pt + ...) * L) * L: one pt per twist level
-        e = Atom("pt")
+        e = Atom("pt", 0)
         for _ in range(self.DEPTH):
-            e = Sum((Atom("pt"), TensorTwist(e, L)))
+            e = Sum((Atom("pt", 0), TensorTwist(e, L)))
         assert normalize(e) == NormalForm({"pt": ladder(0, self.DEPTH)})
-        assert dim_of(Sum((e, Atom("B"))), registry) == self.DEPTH
+        assert Sum((e, Atom("B", 6))).top == self.DEPTH
 
     def test_atoms_keep_left_to_right_order(self):
-        e = Sum((Atom("Q6"), TensorTwist(Sum((Atom("K3"), Atom("P2"))), L), Atom("Q6")))
+        e = Sum((Atom("Q6", 6), TensorTwist(Sum((Atom("K3", 2), Atom("P2", 2))), L), Atom("Q6", 6)))
         assert list(normalize(e).terms) == ["Q6", "K3", "P2"]

@@ -45,9 +45,9 @@ VALUES = [
         False,
         id="Derivation-forms-differ",
     ),
-    pytest.param(lambda: Atom("K3"), True, id="Atom"),
-    pytest.param(lambda: Sum((Atom("K3"), Sum((Atom("B"),)))), True, id="Sum"),
-    pytest.param(lambda: TensorTwist(Atom("B"), ladder(0, 2)), True, id="TensorTwist"),
+    pytest.param(lambda: Atom("K3", 2), True, id="Atom"),
+    pytest.param(lambda: Sum((Atom("K3", 2), Sum((Atom("B", 6),)))), True, id="Sum"),
+    pytest.param(lambda: TensorTwist(Atom("B", 6), ladder(0, 2)), True, id="TensorTwist"),
     pytest.param(lambda: solve_mx(GMScenario()), False, id="Solved"),
 ]
 
