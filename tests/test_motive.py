@@ -112,13 +112,19 @@ class TestNodes:
 
     def test_equal_only_within_one_class(self):
         k3 = Atom("K3", 2)
-        assert k3 != ("K3",) and ("K3",) != k3
+        assert k3 != ("K3", 2) and ("K3", 2) != k3
         assert k3 != Sum((k3,)) and Sum((k3,)) != (k3,)
         assert TensorTwist(k3, L) != (k3, L)
 
     def test_fields_are_read_only(self):
         k3 = Atom("K3", 2)
-        for node, field in ((k3, "name"), (Sum((k3,)), "children"), (TensorTwist(k3, L), "twist")):
+        for node, field in (
+            (k3, "name"),
+            (k3, "top"),
+            (Sum((k3,)), "children"),
+            (Sum((k3,)), "top"),
+            (TensorTwist(k3, L), "twist"),
+        ):
             with pytest.raises(AttributeError):
                 setattr(node, field, k3)
             with pytest.raises(AttributeError):
