@@ -13,8 +13,8 @@ Parser.parse_polynomial reads a whole 'poly', e.g. the M1 of ``solve``.
 
 Builtins: P(n), Q(n), Gr(k,n), Hilb2(atom), PB(e,r), Bl(a,c,codim),
 Fib(e,k), Prod(a,b).  'K3' is a plain identifier registering the K3 atlas
-entry; other identifiers resolve against the atom registry.  'L^0' is the
-unit twist.
+entry; other identifiers resolve against the atom registry, and every atom
+is the registry's shared node for its name.  'L^0' is the unit twist.
 """
 
 from __future__ import annotations
@@ -62,24 +62,24 @@ _TEXT_RE = re.compile(_TOKEN_RE.pattern + r"|\S")
 EXPR = None
 
 
-def _atom(entry: AtlasEntry) -> Atom:
-    return Atom(entry.name, entry.diamond.n)
+def _atom(atlas: Atlas, entry: AtlasEntry) -> Atom:
+    return atlas.registry.atom(entry.name)  # add() registered it: one node per name
 
 
 def _hilb2(atlas: Atlas, inner: MotiveExpr) -> MotiveExpr:
     if not isinstance(inner, Atom) or atlas.get(inner.name) is None:
         raise ValueError("argument must name an atlas surface")
-    return _atom(atlas.hilb2(inner.name))
+    return _atom(atlas, atlas.hilb2(inner.name))
 
 
 # name -> (argument kinds, constructor taking the atlas and the arguments);
 # the constructors check the argument values
 BUILTINS = {
-    "P": (("a dimension",), lambda atlas, n: _atom(atlas.projective_space(n))),
-    "Q": (("a dimension",), lambda atlas, n: _atom(atlas.quadric(n))),
+    "P": (("a dimension",), lambda atlas, n: _atom(atlas, atlas.projective_space(n))),
+    "Q": (("a dimension",), lambda atlas, n: _atom(atlas, atlas.quadric(n))),
     "Gr": (
         ("a subspace dimension", "an ambient dimension"),
-        lambda atlas, k, n: _atom(atlas.grassmannian(k, n)),
+        lambda atlas, k, n: _atom(atlas, atlas.grassmannian(k, n)),
     ),
     "Hilb2": ((EXPR,), _hilb2),
     "PB": ((EXPR, "a bundle rank"), lambda atlas, e, r: projective_bundle(e, r)),
@@ -221,7 +221,7 @@ class Parser:
             except ValueError as exc:
                 raise self._error(i, f"K3: {exc}", ArityError) from exc
         try:
-            return Atom(name, self.atlas.registry.dim(name))
+            return self.atlas.registry.atom(name)
         except UnregisteredAtomError:
             quoted = self._quote(name)
             raise self._error(i, f"unknown identifier {quoted}", UnknownIdentifierError) from None

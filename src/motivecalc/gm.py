@@ -61,13 +61,11 @@ def _scenario_atoms() -> dict[str, ScenarioAtom]:
     }
 
 
-# built once at import and never written after
+# built once at import and never written after; NODES holds each atom's one
+# expression node, shared by every derivation
 ATOMS = _scenario_atoms()
+NODES = {name: Atom(name, a.dim) for name, a in ATOMS.items()}
 EXPECTED_MX = NormalForm({"B": ONE, "Y": L**2})  # the candidate answer substituted for X
-
-
-def _atom(name: str) -> Atom:
-    return Atom(name, ATOMS[name].dim)
 
 
 @dataclass
@@ -124,13 +122,13 @@ class GMScenario:
 
 def build_d2(s: GMScenario):
     """The corank-2 degeneracy locus as a fibration over the Hilbert-square divisor."""
-    return projective_fibration(_atom("Hilb2QY"), s.d2_fiber)
+    return projective_fibration(NODES["Hilb2QY"], s.d2_fiber)
 
 
 def build_d1_prime(s: GMScenario):
     """The resolved corank-1 locus as an iterated blow-up."""
-    psy = projective_fibration(_atom("Y"), s.psy_fiber)
-    pbr = projective_fibration(_atom("B"), s.pbr_fiber)
+    psy = projective_fibration(NODES["Y"], s.psy_fiber)
+    pbr = projective_fibration(NODES["B"], s.pbr_fiber)
     inner = blow_up(pbr, psy, s.codim_psy)
     center = projective_fibration(build_d2(s), s.rho_fiber)
     return blow_up(inner, center, s.codim_rho_d2)
@@ -139,7 +137,7 @@ def build_d1_prime(s: GMScenario):
 def build_rhs(s: GMScenario):
     """Double blow-up of the product side, grouped by the B, Y and
     Hilbert-square atoms."""
-    bp = projective_fibration(_atom("B"), s.pv5_dim)
+    bp = projective_fibration(NODES["B"], s.pv5_dim)
     stage1 = blow_up(bp, build_d2(s), s.codim_d2)
     return blow_up(stage1, build_d1_prime(s), s.codim_d1)
 
@@ -147,7 +145,7 @@ def build_rhs(s: GMScenario):
 def build_lhs(s: GMScenario):
     """The same variety fibered over the unknown X, blown up along a
     projective fibration over the corank-2 locus."""
-    top = projective_fibration(projective_fibration(_atom("X"), s.px_fiber), s.ux_fiber)
+    top = projective_fibration(projective_fibration(NODES["X"], s.px_fiber), s.ux_fiber)
     center = projective_fibration(build_d2(s), s.lhs_center_fiber)
     return blow_up(top, center, s.codim_lhs_center)
 

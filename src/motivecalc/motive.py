@@ -3,8 +3,8 @@
 Expressions are trees built from named atoms, direct sums, and tensoring by
 a twist polynomial; each node carries its top weight (an atom's is its
 dimension), and an atom to be solved for is an ordinary atom.  The registry
-maps atom names to dimensions.  The canonical representation is a
-NormalForm: a map atom-name -> TatePolynomial.
+maps each atom name to its one node, shared by every tree that names it.
+The canonical representation is a NormalForm: a map atom-name -> TatePolynomial.
 Equality, summand subtraction, and the solve/cancel step all happen at the
 normal-form level.
 """
@@ -31,10 +31,10 @@ MotiveAtom = collections.namedtuple("MotiveAtom", "name dim tags", defaults=(fro
 
 
 class AtomRegistry:
-    """Append-only name -> dimension table."""
+    """Append-only name -> node table: one shared Atom per registered name."""
 
     def __init__(self):
-        self._dims: dict[str, int] = {}
+        self._atoms: dict[str, Atom] = {}
 
     def register(self, atom: MotiveAtom) -> None:
         name, dim = atom.name, atom.dim
@@ -42,13 +42,16 @@ class AtomRegistry:
             raise TypeError(f"dim of {name!r} is not an int: {dim!r}")
         if dim < 0:
             raise ValueError("dim must be nonnegative")
-        have = self._dims.setdefault(name, dim)
-        if have != dim:
-            raise ValueError(f"atom {name!r} already registered with dim {have}, not {dim}")
+        have = self._atoms.get(name)
+        if have is None:
+            self._atoms[name] = Atom(name, dim)
+        elif have.top != dim:
+            raise ValueError(f"atom {name!r} already registered with dim {have.top}, not {dim}")
 
-    def dim(self, name: str) -> int:
+    def atom(self, name: str) -> Atom:
+        """The node of a registered name, the same object on every call."""
         try:
-            return self._dims[name]
+            return self._atoms[name]
         except KeyError:
             raise UnregisteredAtomError(name) from None
 
@@ -115,6 +118,9 @@ class NormalForm(Frozen):
 
     def coefficient(self, name: str) -> TatePolynomial:
         return self._terms.get(name, ZERO)
+
+    def _key(self):  # the dict itself: the sixfold's identity compares two normal forms
+        return self._terms
 
     __hash__ = None  # its terms are a dict
 

@@ -190,6 +190,18 @@ MUTANTS = {
         'raise ValueError(f"blow-up codimension',
         f"{GM}::test_multi_fact_survey",
     ),
+    "registry clash check": (
+        "motive.py",
+        "elif have.top != dim:",
+        "elif False:",
+        "tests/test_motive.py::test_registry_rejects_conflicting_reregistration",
+    ),
+    "fresh node per lookup": (
+        "motive.py",
+        "return self._atoms[name]",
+        "return Atom(name, self._atoms[name].top)",
+        "tests/test_motive.py::TestOneNodePerName::test_a_bulk_program_builds_one_node_per_name",
+    ),
 }
 
 # survivors that no test can tell apart from the original, each with its

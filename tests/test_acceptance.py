@@ -191,7 +191,7 @@ class TestCriterion8PropertySuites:
         atlas.projective_space(0)
         atlas.projective_space(1)
         atlas.quadric(4)
-        dc = atlas.registry.dim(center)
+        dc = atlas.registry.atom(center).top
         ambient = atlas.projective_space(dc + codim).name
         table = atlas.diamond_table()
         e = blow_up(Atom(ambient, dc + codim), Atom(center, dc), codim)

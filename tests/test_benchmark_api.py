@@ -74,7 +74,7 @@ def test_scenario_facts_as_the_worker_filters_them():
 def test_atoms_register_with_a_third_positional_field():
     atlas = motivecalc.Atlas()
     atlas.registry.register(motivecalc.MotiveAtom("X", 6, frozenset({"unknown"})))
-    assert atlas.registry.dim("X") == 6
+    assert atlas.registry.atom("X").top == 6
 
 
 def test_solve_result_carries_the_normal_form():

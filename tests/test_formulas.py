@@ -164,7 +164,7 @@ def test_euler_additivity_and_multiplicativity(center, codim, rank):
     atlas.projective_space(0)
     atlas.projective_space(1)
     atlas.quadric(3)
-    center_dim = atlas.registry.dim(center)
+    center_dim = atlas.registry.atom(center).top
     ambient = atlas.projective_space(center_dim + codim).name
     table = atlas.diamond_table()
 

@@ -2,7 +2,9 @@ import random
 from collections import Counter
 from dataclasses import fields
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from motivecalc import (
     Atlas,
@@ -302,6 +304,25 @@ def test_multi_fact_survey():
     # seed 1 reaches every family, alone and combined
     assert len(accepted) == 8 and seen == {name for name, _, _ in FAMILIES}
     assert gm.ATOMS == ATOMS_AT_IMPORT
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.dictionaries(st.sampled_from(list(vars(GMScenario()))), st.integers(-3, 12)))
+@example({"rank_e": 5, "rank_f": 6, "px_fiber": 1, "ux_fiber": 3})
+@example({"psy_fiber": 1, "codim_psy": 5})
+def test_fact_box(changes):
+    """Any facts moved anywhere in -3..12 (every default lies in that box):
+    the derivation returns, an accepted one carries both normal forms, and
+    an accepted fact set is the default once its family moves are undone."""
+    s = perturbed(GMScenario(), **changes)
+    d = verify_identity(s)
+    if d.ok:
+        assert d.lhs is not None and d.rhs is not None
+        undo = {}
+        for _, makes, default in FAMILIES:
+            if makes(s):
+                undo.update(default)
+        assert perturbed(s, **undo) == GMScenario(), changes
 
 
 def test_the_report_builds_no_atlas_entry(monkeypatch, capsys):

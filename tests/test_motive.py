@@ -1,5 +1,7 @@
 import copy
+import importlib.util
 import pickle
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -24,6 +26,7 @@ from motivecalc import (
     solve_tensor_factor,
 )
 from motivecalc.dsl import Parser
+from motivecalc.gm import GMScenario, verify_identity
 from motivecalc.motive import CANCELLATION_NOTE, Solved
 from motivecalc.tatepoly import ONE, ZERO, L
 
@@ -289,7 +292,7 @@ def reference_top(e: MotiveExpr, registry: AtomRegistry) -> int:
         node, shift = stack.pop()
         t = type(node)
         if t is Atom:
-            top = max(top, registry.dim(node.name) + shift)
+            top = max(top, registry.atom(node.name).top + shift)
         elif t is Sum:
             stack.extend((c, shift) for c in reversed(node.children))
         elif t is TensorTwist:
@@ -342,7 +345,7 @@ class TestTopWeight:
         atlas.registry.register(MotiveAtom("Hilb2QY", 3))
         parsed = Parser(atlas).parse(text)
         for atom in atoms_of(parsed):
-            assert atom.top == atlas.registry.dim(atom.name)
+            assert atom.top == atlas.registry.atom(atom.name).top
         assert parsed.top == reference_top(parsed, atlas.registry)
 
 
@@ -380,13 +383,13 @@ def test_registry_rejects_conflicting_reregistration():
     reg.register(MotiveAtom("B", 6))  # identical is fine
     # the third field takes no part in the clash check
     reg.register(MotiveAtom("B", 6, frozenset({"unknown"})))
-    assert reg.dim("B") == 6
+    assert reg.atom("B").top == 6
     with pytest.raises(ValueError, match="dim 6, not 5"):
         reg.register(MotiveAtom("B", 5))
     with pytest.raises(ValueError, match="nonnegative"):
         reg.register(MotiveAtom("B", -1))
     with pytest.raises(UnregisteredAtomError):
-        reg.dim("C")
+        reg.atom("C").top
 
 
 # exactness: a dimension is an int, never a float or bool truncated to one
@@ -394,6 +397,75 @@ def test_registry_rejects_conflicting_reregistration():
 def test_registry_takes_only_int_dims(dim):
     with pytest.raises(TypeError, match="is not an int"):
         AtomRegistry().register(MotiveAtom("A", dim))
+
+
+class TestRegistryContract:
+    """The registry holds one node per name: a refused registration stores
+    none and leaves an earlier one in place, and every lookup returns it."""
+
+    @pytest.mark.parametrize(
+        "dim, error, message",
+        [
+            (2.0, TypeError, "dim of 'B' is not an int: 2.0"),
+            (-1, ValueError, "dim must be nonnegative"),
+            (5, ValueError, "atom 'B' already registered with dim 6, not 5"),
+        ],
+    )
+    def test_a_refusal_keeps_the_earlier_node(self, dim, error, message):
+        reg = AtomRegistry()
+        reg.register(MotiveAtom("B", 6))
+        node = reg.atom("B")
+        reg.register(MotiveAtom("B", 6, frozenset({"unknown"})))  # accepted, no new node
+        with pytest.raises(error) as exc:
+            reg.register(MotiveAtom("B", dim))
+        assert str(exc.value) == message
+        assert reg.atom("B") is node and (node.name, node.top) == ("B", 6)
+
+    @pytest.mark.parametrize("dim, error", [(2.0, TypeError), (-1, ValueError)])
+    def test_a_refusal_stores_no_node(self, dim, error):
+        reg = AtomRegistry()
+        with pytest.raises(error):
+            reg.register(MotiveAtom("A", dim))
+        with pytest.raises(UnregisteredAtomError):
+            reg.atom("A")
+
+
+PERFBENCH_GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+
+
+def bulk_program(seed: int, terms: int) -> str:
+    """The text of perfbench's dsl-bulk program; gen.py imports no motivecalc."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH_GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.dsl_program(seed, terms)["text"]
+
+
+class TestOneNodePerName:
+    """Work count: an atom's node is built when its name is registered, and
+    every tree that names the atom shares it."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        built, init = [], Atom.__init__
+        monkeypatch.setattr(Atom, "__init__", lambda a, *args: built.append(args) or init(a, *args))
+        return built
+
+    def test_a_bulk_program_builds_one_node_per_name(self, built):
+        # the 2000-term dsl-bulk program at seed 1: over 2000 leaves, 22 names
+        parsed = Parser(Atlas()).parse(bulk_program(1, 2000))
+        leaves = atoms_of(parsed)
+        assert len(leaves) > 2000 and len({a.name for a in leaves}) == 22
+        assert len(built) == 22 and len({id(a) for a in leaves}) == 22
+
+    def test_repeated_leaves_are_one_object(self, built):
+        parsed = Parser(Atlas()).parse("K3 + K3 * L")
+        assert parsed.children[0] is parsed.children[1].child
+        assert built == [("K3", 2)]
+
+    def test_a_derivation_builds_no_node(self, built):
+        assert verify_identity(GMScenario()).ok
+        assert built == []
 
 
 class TestDeepTrees:
