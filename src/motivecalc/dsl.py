@@ -158,8 +158,9 @@ class Parser:
     # -- grammar -----------------------------------------------------------
 
     def parse(self, text: str) -> MotiveExpr:
-        """Parse a whole expression."""
-        return self._parse_all(text, self._expr)
+        """Parse a whole expression. A top-level summand whose tokens repeat
+        an earlier summand's is that summand's node; it is not read again."""
+        return self._parse_all(text, self._top)
 
     def parse_polynomial(self, text: str) -> TatePolynomial:
         """Parse a whole twist polynomial, in the syntax of a ``* (...)``
@@ -177,21 +178,40 @@ class Parser:
             raise self._error(self._i, f"trailing input {self._quote(self._t[self._i])}")
         return result
 
-    def _expr(self) -> MotiveExpr:
+    def _top(self) -> MotiveExpr:
+        # start -> (key, end) of each summand between '+'s outside all parentheses:
+        # its token texts joined by blanks, which no token holds, and its '+' or END
+        spans, start, group, depth = {}, 0, [], 0
+        for piece in " ".join(self._t[:-1]).split(" + "):
+            group.append(piece)
+            depth += piece.count("(") - piece.count(")")
+            if depth <= 0:
+                key = " + ".join(group)
+                end = start + key.count(" ") + 1
+                spans[start], start, group = (key, end), end + 1, []
+        return self._expr(spans)
+
+    def _expr(self, spans: dict[int, tuple[str, int]] | None = None) -> MotiveExpr:
         if self._depth == MAX_DEPTH:
             raise self._error(self._i, f"expression nested deeper than {MAX_DEPTH} levels")
         self._depth += 1
         t = self._t
-        terms = []
+        terms, shared = [], {}  # key -> node of a summand read up to its end
         while True:
-            e = self._factor()
-            while t[self._i] == "*":
-                star = self._i
-                self._i += 1
-                twist = self._twist()
-                if not twist:
-                    raise self._error(star, "twist factor must be nonzero", ArityError)
-                e = TensorTwist(e, twist) if twist != ONE else e
+            key, end = spans.get(self._i, (None, -1)) if spans else (None, -1)
+            if key in shared:
+                e, self._i = shared[key], end
+            else:
+                e = self._factor()
+                while t[self._i] == "*":
+                    star = self._i
+                    self._i += 1
+                    twist = self._twist()
+                    if not twist:
+                        raise self._error(star, "twist factor must be nonzero", ArityError)
+                    e = TensorTwist(e, twist) if twist != ONE else e
+                if self._i == end:  # the parse read exactly the summand's tokens
+                    shared[key] = e
             terms.append(e)
             if t[self._i] != "+":
                 break

@@ -202,6 +202,19 @@ MUTANTS = {
         "return Atom(name, self._atoms[name].top)",
         "tests/test_motive.py::TestOneNodePerName::test_a_bulk_program_builds_one_node_per_name",
     ),
+    "shared summand without the boundary check": (
+        "dsl.py",
+        "if self._i == end:  # the parse read exactly the summand's tokens",
+        "if True:",
+        "tests/test_dsl.py::TestSharedSummands"
+        "::test_a_summand_is_shared_only_if_its_parse_ends_at_its_span",
+    ),
+    "summand table kept across parses": (
+        "dsl.py",
+        "terms, shared = [], {}",
+        'terms, shared = [], vars(self).setdefault("_kept", {})',
+        "tests/test_motive.py::TestOneReadPerSummand::test_the_next_parse_reads_them_again",
+    ),
 }
 
 # survivors that no test can tell apart from the original, each with its

@@ -317,6 +317,109 @@ class TestParserTexts:
             parser.parse("K3 +")
 
 
+class TestSharedSummands:
+    """A top-level summand whose tokens repeat an earlier one's shares its
+    node; the tree, its normal form and every error stay as if each summand
+    were read."""
+
+    @staticmethod
+    def summand_text(e):
+        # a Sum prints without parentheses and would split into summands
+        return f"({print_expr(e)})" if isinstance(e, Sum) else print_expr(e)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(motive_exprs(max_leaves=6), min_size=1, max_size=4), st.data())
+    def test_same_tree_as_each_summand_read_alone(self, pool, data):
+        picks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+        blanks = st.sampled_from(["", " ", "  ", "\n", "\t "])
+        # every occurrence spaced its own way: sharing goes by tokens, not text
+        texts = [
+            re.sub(" ", lambda _: data.draw(blanks), self.summand_text(e)) for e in picks
+        ]
+        text = texts[0] + "".join(
+            data.draw(blanks) + "+" + data.draw(blanks) + t for t in texts[1:]
+        )
+        alone = [Parser(session_atlas()).parse(t) for t in texts]
+        parsed = Parser(session_atlas()).parse(text)
+        assert parsed == (alone[0] if len(alone) == 1 else Sum(tuple(alone)))
+        assert normalize(parsed) == normalize(Sum(tuple(alone)))
+
+    @pytest.mark.parametrize(
+        "text, cls, message",
+        [
+            # trailing input after a repeated summand
+            ("K3 * L + K3 * L K3", DslSyntaxError, "trailing input 'K3' (line 1, column 17)"),
+            (
+                "K3 * L + K3 * L + (K3 + K3",
+                DslSyntaxError,
+                "expected ')', got 'end of input' (line 1, column 27)",
+            ),
+            ("K3 + K3 + K3 ) + K3", DslSyntaxError, "trailing input ')' (line 1, column 14)"),
+            ("K3 + K3 + + K3", DslSyntaxError, "expected expression, got '+' (line 1, column 11)"),
+            (
+                "K3 + K3 +",
+                DslSyntaxError,
+                "expected expression, got 'end of input' (line 1, column 10)",
+            ),
+            (
+                "P(2) * L + P(2) * L + P(2) * é L + P(2) * L",
+                DslSyntaxError,
+                "unexpected character 'é' (line 1, column 30)",
+            ),
+            ("K3 é + K3 é", DslSyntaxError, "unexpected character 'é' (line 1, column 4)"),
+            (
+                "Q(6) + K3 * L^2\n+ Q(6) + K3 * L^2\n+ K3 * L^2 * + Q(6)",
+                DslSyntaxError,
+                "expected a twist, got '+' (line 3, column 14)",
+            ),
+            (
+                "PB(K3, 2) + PB(K3, 2) + PB(K3, 0)",
+                ArityError,
+                "PB: bundle rank 0 outside 1..1001 (line 1, column 25)",
+            ),
+            (
+                "Q(6) + Q(6) + Q6 + Q(6) + X",
+                UnknownIdentifierError,
+                "unknown identifier 'X' (line 1, column 27)",
+            ),
+            (
+                "K3 * (1 + L) + K3 * (1 + L) + K3 * (1 + L",
+                DslSyntaxError,
+                "expected ')', got 'end of input' (line 1, column 42)",
+            ),
+        ],
+    )
+    def test_errors_after_repeated_summands(self, parser, text, cls, message):
+        with pytest.raises(DslError) as exc:
+            parser.parse(text)
+        assert type(exc.value) is cls and str(exc.value) == message
+        assert message.endswith(f"(line {exc.value.line}, column {exc.value.col})")
+
+    def test_parser_reusable_after_failed_parse(self, parser):
+        text = "K3 * L + K3 * L + Q(6)"
+        with pytest.raises(DslSyntaxError):
+            parser.parse("K3 * L + K3 * L K3")
+        assert parser.parse(text) == Parser(session_atlas()).parse(text)
+
+    def test_a_summand_is_shared_only_if_its_parse_ends_at_its_span(self, monkeypatch):
+        # with spans cut at every '+', also those inside parentheses, the
+        # tree stays exact: a summand read past its span is not shared
+        expr = Parser._expr
+
+        def cut_at_every_plus(self, spans=None):
+            if spans is not None:
+                t = self._t
+                starts = [0] + [i + 1 for i, x in enumerate(t) if x == "+"]
+                ends = [i - 1 for i in starts[1:]] + [len(t) - 1]
+                spans = {i: (" ".join(t[i:j]), j) for i, j in zip(starts, ends)}
+            return expr(self, spans)
+
+        text = "K3 * (1 + L) + K3 * (1 + L^2) + K3 * (1 + L) + K3 * (1 + L^2)"
+        expected = Parser(session_atlas()).parse(text)
+        monkeypatch.setattr(Parser, "_expr", cut_at_every_plus)
+        assert Parser(session_atlas()).parse(text) == expected
+
+
 class TestNestingDepth:
     def test_deepest_accepted(self, parser):
         depth = MAX_DEPTH - 1  # the outermost expression is the first level

@@ -468,6 +468,50 @@ class TestOneNodePerName:
         assert built == []
 
 
+def top_level_summands(text: str) -> list[str]:
+    """The texts between the '+'s outside all parentheses, blanks removed."""
+    out, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "+" and not depth:
+            out.append(text[start:i])
+            start = i + 1
+    out.append(text[start:])
+    return ["".join(s.split()) for s in out]
+
+
+class TestOneReadPerSummand:
+    """Work count: a parse reads each distinct top-level summand once, and
+    the next parse reads them again."""
+
+    @pytest.fixture()
+    def reads(self, monkeypatch):
+        # the token index of each _factor call at the top level: one per summand read
+        reads, factor = [], Parser._factor
+        monkeypatch.setattr(
+            Parser, "_factor", lambda p: (p._depth == 1 and reads.append(p._i)) or factor(p)
+        )
+        return reads
+
+    def test_a_bulk_program_reads_each_distinct_summand_once(self, reads):
+        # the 2000-term dsl-bulk program at seed 1 has 630 distinct summands
+        text = bulk_program(1, 2000)
+        summands = top_level_summands(text)
+        assert len(summands) == 2000 and len(set(summands)) == 630
+        parsed = Parser(Atlas()).parse(text)
+        assert len(reads) == 630
+        leaves = atoms_of(parsed)
+        assert len(leaves) > 2000 and len({id(a) for a in leaves}) == 22
+        alone = Parser(Atlas())
+        assert parsed == Sum(tuple(alone.parse(s) for s in summands))
+
+    def test_the_next_parse_reads_them_again(self, reads):
+        parser, text = Parser(Atlas()), "K3 * L + Q(6) + K3 * L"
+        parser.parse(text)
+        parser.parse(text)
+        assert len(reads) == 4
+
+
 class TestDeepTrees:
     DEPTH = 5000
 
