@@ -108,6 +108,34 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+def _lex(text: str) -> tuple[list[str], dict[int, tuple[str, int]]]:
+    """The token texts, ``_TEXT_RE.findall(text) + [""]`` ("" is END, and a
+    '+' is always a token of its own), and start -> (key, end) of each
+    summand between '+'s outside all parentheses: its token texts joined by
+    blanks, which no token holds, and the index of its '+' or END.  Each
+    distinct summand text is scanned once."""
+    tokens, spans, scanned, group, depth = [], {}, {}, [], 0
+    for piece in text.split("+"):
+        group.append(piece)
+        depth += piece.count("(") - piece.count(")")
+        if depth <= 0:
+            raw = "+".join(group)
+            if raw not in scanned:
+                texts = _TEXT_RE.findall(raw)
+                scanned[raw] = texts, " ".join(texts)
+            texts, key = scanned[raw]
+            spans[len(tokens)] = key, len(tokens) + len(texts)
+            tokens += texts
+            tokens.append("+")
+            group = []
+    if group:  # a trailing group whose parentheses never close: no span
+        tokens += _TEXT_RE.findall("+".join(group))
+    else:
+        tokens.pop()  # the '+' after the last summand
+    tokens.append("")
+    return tokens, spans
+
+
 class Parser:
     """Recursive-descent parser evaluating atlas builtins eagerly, so the
     returned tree only contains registered atoms."""
@@ -160,36 +188,23 @@ class Parser:
     def parse(self, text: str) -> MotiveExpr:
         """Parse a whole expression. A top-level summand whose tokens repeat
         an earlier summand's is that summand's node; it is not read again."""
-        return self._parse_all(text, self._top)
+        return self._parse_all(text, self._expr)
 
     def parse_polynomial(self, text: str) -> TatePolynomial:
         """Parse a whole twist polynomial, in the syntax of a ``* (...)``
         twist, e.g. ``1 + 2L + L^2``; ``0`` is the zero polynomial."""
-        return self._parse_all(text, self._polynomial)
+        return self._parse_all(text, lambda spans: self._polynomial())
 
     def _parse_all(self, text: str, rule):
         # the rules read token texts only; "" is END
         self._text = text
-        self._t = _TEXT_RE.findall(text) + [""]
+        self._t, spans = _lex(text)
         self._i = 0
         self._depth = 0
-        result = rule()
+        result = rule(spans)
         if self._t[self._i]:
             raise self._error(self._i, f"trailing input {self._quote(self._t[self._i])}")
         return result
-
-    def _top(self) -> MotiveExpr:
-        # start -> (key, end) of each summand between '+'s outside all parentheses:
-        # its token texts joined by blanks, which no token holds, and its '+' or END
-        spans, start, group, depth = {}, 0, [], 0
-        for piece in " ".join(self._t[:-1]).split(" + "):
-            group.append(piece)
-            depth += piece.count("(") - piece.count(")")
-            if depth <= 0:
-                key = " + ".join(group)
-                end = start + key.count(" ") + 1
-                spans[start], start, group = (key, end), end + 1, []
-        return self._expr(spans)
 
     def _expr(self, spans: dict[int, tuple[str, int]] | None = None) -> MotiveExpr:
         if self._depth == MAX_DEPTH:

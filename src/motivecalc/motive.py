@@ -164,18 +164,27 @@ class NormalForm(Frozen):
 def normalize(e: MotiveExpr) -> NormalForm:
     """Flatten sums and distribute twists into the canonical atom -> polynomial map."""
     acc: dict[str, dict[int, int]] = {}
-    stack = [(e, ONE)]  # (node, product of the twists above it); leftmost child on top
+    stack = [(e, ONE, 1)]  # (node, product of the twists above it, count); leftmost on top
     while stack:
-        node, twist = stack.pop()
+        node, twist, m = stack.pop()
         t = type(node)
         if t is Atom:
             coeffs = acc.setdefault(node.name, {})
             for k, a in twist._coeffs.items():  # stored terms; their order is irrelevant
-                coeffs[k] = coeffs.get(k, 0) + a
+                coeffs[k] = coeffs.get(k, 0) + a * m
         elif t is Sum:
-            stack.extend((c, twist) for c in reversed(node.children))
+            # a child the Sum holds more than once is walked once, with its count;
+            # grouped by id, since hashing a node walks its whole subtree
+            walk = {}
+            for c in node.children:
+                entry = walk.get(id(c))
+                if entry:
+                    entry[2] += m
+                else:
+                    walk[id(c)] = [c, twist, m]
+            stack.extend(reversed(walk.values()))
         elif t is TensorTwist:
-            stack.append((node.child, node.twist if twist is ONE else twist * node.twist))
+            stack.append((node.child, node.twist if twist is ONE else twist * node.twist, m))
         else:
             raise TypeError(f"not a MotiveExpr: {node!r}")
     return NormalForm({name: TatePolynomial(c) for name, c in acc.items()})

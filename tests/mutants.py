@@ -215,6 +215,18 @@ MUTANTS = {
         'terms, shared = [], vars(self).setdefault("_kept", {})',
         "tests/test_motive.py::TestOneReadPerSummand::test_the_next_parse_reads_them_again",
     ),
+    "normalize drops a shared child's multiplicity": (
+        "motive.py",
+        "entry[2] += m",
+        "entry[2] += 0",
+        "tests/test_motive.py::TestSharedChildrenWalkedOnce::test_like_unshared_copies",
+    ),
+    "lexer leaves out the '+' between summands": (
+        "dsl.py",
+        'tokens.append("+")',
+        "pass",
+        "tests/test_dsl.py::TestLex::test_texts_of_one_findall_pass",
+    ),
 }
 
 # survivors that no test can tell apart from the original, each with its

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import hypothesis.strategies as st
 
 from motivecalc import Atom, Atlas, MotiveExpr, Sum, TatePolynomial, TensorTwist
@@ -108,3 +111,26 @@ def print_expr(e: MotiveExpr) -> str:
         else:
             raise TypeError(f"not a MotiveExpr: {node!r}")
     return "".join(out)
+
+
+PERFBENCH_GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+
+
+def bulk_program(seed: int, terms: int) -> str:
+    """The text of perfbench's dsl-bulk program; gen.py imports no motivecalc."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH_GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.dsl_program(seed, terms)["text"]
+
+
+def top_level_summands(text: str) -> list[str]:
+    """The texts between the '+'s outside all parentheses, blanks kept."""
+    out, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "+" and not depth:
+            out.append(text[start:i])
+            start = i + 1
+    out.append(text[start:])
+    return out

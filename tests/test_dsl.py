@@ -3,7 +3,7 @@ import re
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from motivecalc import (
     Atlas,
@@ -27,7 +27,7 @@ from motivecalc.dsl import (
 )
 from motivecalc.formulas import DimensionMismatchError
 
-from strategies import motive_exprs, print_expr, session_atlas
+from strategies import bulk_program, motive_exprs, print_expr, session_atlas, top_level_summands
 
 P = Parser(Atlas()).parse_polynomial
 
@@ -418,6 +418,55 @@ class TestSharedSummands:
         expected = Parser(session_atlas()).parse(text)
         monkeypatch.setattr(Parser, "_expr", cut_at_every_plus)
         assert Parser(session_atlas()).parse(text) == expected
+
+
+def top_spans(texts: list[str]) -> dict[int, tuple[str, int]]:
+    """start -> (key, end) of each top-level summand from the token texts
+    alone: joined by blanks, cut at ' + ', regrouped while '(' are open."""
+    spans, start, group, depth = {}, 0, [], 0
+    for piece in " ".join(texts[:-1]).split(" + "):
+        group.append(piece)
+        depth += piece.count("(") - piece.count(")")
+        if depth <= 0:
+            key = " + ".join(group)
+            end = start + key.count(" ") + 1
+            spans[start], start, group = (key, end), end + 1, []
+    return spans
+
+
+class TestLex:
+    """The lexer gives the texts of one findall pass over the whole text, and
+    scans each distinct top-level summand text once."""
+
+    # '\x0b', '\x1c' and '\u3000' are blanks; '@' is no token
+    PIECES = [*"+()*^,", "L", "K3", "P", "1", "2", " ", "\n", "\x0b", "\x1c", "\u3000", "@"]
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(PIECES), max_size=30).map("".join))
+    @example("")
+    @example("K3 + + K3")
+    @example("K3 +")
+    @example("(K3 + K3")
+    @example("K3 ) + K3")
+    def test_texts_of_one_findall_pass(self, text):
+        assert dsl._lex(text)[0] == dsl._TEXT_RE.findall(text) + [""]
+
+    def test_a_bulk_program_scans_each_distinct_summand_text_once(self, monkeypatch):
+        # the 2000-term dsl-bulk program at seed 1 has 631 distinct summand texts
+        text = bulk_program(1, 2000)
+        scanned, pattern = [], dsl._TEXT_RE
+
+        class Counted:
+            def findall(self, s):
+                scanned.append(s)
+                return pattern.findall(s)
+
+        monkeypatch.setattr(dsl, "_TEXT_RE", Counted())
+        Parser(Atlas()).parse(text)
+        raw = top_level_summands(text)
+        assert len(raw) == 2000 and sorted(scanned) == sorted(set(raw))
+        texts, spans = dsl._lex(text)
+        assert spans == top_spans(texts)
 
 
 class TestNestingDepth:

@@ -1,7 +1,5 @@
 import copy
-import importlib.util
 import pickle
-from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -30,7 +28,15 @@ from motivecalc.gm import GMScenario, verify_identity
 from motivecalc.motive import CANCELLATION_NOTE, Solved
 from motivecalc.tatepoly import ONE, ZERO, L
 
-from strategies import motive_exprs, nonzero_tate_polys, print_expr, session_atlas, tate_polys
+from strategies import (
+    bulk_program,
+    motive_exprs,
+    nonzero_tate_polys,
+    print_expr,
+    session_atlas,
+    tate_polys,
+    top_level_summands,
+)
 
 P = Parser(Atlas()).parse_polynomial
 
@@ -430,17 +436,6 @@ class TestRegistryContract:
             reg.atom("A")
 
 
-PERFBENCH_GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-
-
-def bulk_program(seed: int, terms: int) -> str:
-    """The text of perfbench's dsl-bulk program; gen.py imports no motivecalc."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH_GEN)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen.dsl_program(seed, terms)["text"]
-
-
 class TestOneNodePerName:
     """Work count: an atom's node is built when its name is registered, and
     every tree that names the atom shares it."""
@@ -468,18 +463,6 @@ class TestOneNodePerName:
         assert built == []
 
 
-def top_level_summands(text: str) -> list[str]:
-    """The texts between the '+'s outside all parentheses, blanks removed."""
-    out, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        depth += (ch == "(") - (ch == ")")
-        if ch == "+" and not depth:
-            out.append(text[start:i])
-            start = i + 1
-    out.append(text[start:])
-    return ["".join(s.split()) for s in out]
-
-
 class TestOneReadPerSummand:
     """Work count: a parse reads each distinct top-level summand once, and
     the next parse reads them again."""
@@ -496,7 +479,7 @@ class TestOneReadPerSummand:
     def test_a_bulk_program_reads_each_distinct_summand_once(self, reads):
         # the 2000-term dsl-bulk program at seed 1 has 630 distinct summands
         text = bulk_program(1, 2000)
-        summands = top_level_summands(text)
+        summands = ["".join(s.split()) for s in top_level_summands(text)]
         assert len(summands) == 2000 and len(set(summands)) == 630
         parsed = Parser(Atlas()).parse(text)
         assert len(reads) == 630
@@ -510,6 +493,45 @@ class TestOneReadPerSummand:
         parser.parse(text)
         parser.parse(text)
         assert len(reads) == 4
+
+
+def unshared(e: MotiveExpr) -> MotiveExpr:
+    """A copy of e in which no node object occurs twice."""
+    if isinstance(e, Sum):
+        return Sum(tuple(unshared(c) for c in e.children))
+    if isinstance(e, TensorTwist):
+        return TensorTwist(unshared(e.child), e.twist)
+    return copy.deepcopy(e)
+
+
+class TestSharedChildrenWalkedOnce:
+    """normalize walks a child that a Sum holds several times once, with its
+    count; the normal form and its term order are those of unshared copies."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(motive_exprs(max_leaves=6), min_size=1, max_size=4), st.data())
+    def test_like_unshared_copies(self, pool, data):
+        picks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+        twist = data.draw(nonzero_tate_polys(max_exp=4, max_coeff=4))
+        inner = Sum(tuple(picks))
+        # shared at two levels: picks repeat inside inner, and inner repeats in e
+        e = Sum((inner, *picks, TensorTwist(inner, twist), inner))
+        nf, copies = normalize(e), normalize(unshared(e))
+        assert nf == copies
+        assert list(nf.terms) == list(copies.terms)
+
+    def test_a_bulk_program_multiplies_once_per_distinct_summand(self, monkeypatch):
+        # the 2000-term dsl-bulk program at seed 1: 531 twist products, as for
+        # its 630 distinct summands alone (909 with one walk per occurrence)
+        parsed = Parser(Atlas()).parse(bulk_program(1, 2000))
+        distinct = Sum(tuple({id(c): c for c in parsed.children}.values()))
+        assert len(parsed.children) == 2000 and len(distinct.children) == 630
+        products, mul = [], TatePolynomial.__mul__
+        monkeypatch.setattr(TatePolynomial, "__mul__", lambda p, q: products.append(q) or mul(p, q))
+        normalize(parsed)
+        shared = len(products)
+        normalize(distinct)
+        assert shared == len(products) - shared == 531
 
 
 class TestDeepTrees:
