@@ -49,8 +49,6 @@ from .gm import (
     IdentityError,
     ScenarioError,
     Derivation,
-    build_lhs,
-    build_rhs,
     full_report,
     perturbed,
     solve_mx,

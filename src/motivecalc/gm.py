@@ -101,58 +101,46 @@ class GMScenario:
 
     def validate(self) -> None:
         """Check declared codimensions against the expected-codimension
-        formula and the dimension bookkeeping; raise ScenarioError at the
-        first check that fails."""
+        formula and the corank-3 locus for emptiness; raise ScenarioError at
+        the first check that fails."""
         e, f = self.rank_e, self.rank_f
-        if self.codim_d1 != codim_rank_leq(e, f, min(e, f) - 1):
-            raise ScenarioError(f"scenario check failed: codim of corank-1 locus = {self.codim_d1}")
-        if self.codim_d2 != codim_rank_leq(e, f, min(e, f) - 2):
-            raise ScenarioError(f"scenario check failed: codim of corank-2 locus = {self.codim_d2}")
+        if self.codim_d1 != (c1 := codim_rank_leq(e, f, min(e, f) - 1)):
+            raise ScenarioError(
+                f"scenario check failed: codim_d1 = {self.codim_d1}, but ranks ({e}, {f}) give {c1}"
+            )
+        if self.codim_d2 != (c2 := codim_rank_leq(e, f, min(e, f) - 2)):
+            raise ScenarioError(
+                f"scenario check failed: codim_d2 = {self.codim_d2}, but ranks ({e}, {f}) give {c2}"
+            )
         if (c3 := codim_rank_leq(e, f, min(e, f) - 3)) <= self.ambient_dim:
             raise ScenarioError(
                 f"scenario check failed: corank-3 codim {c3} > ambient dim {self.ambient_dim}: "
                 "locus empty"
             )
-        if self.ambient_dim - self.codim_d2 != ATOMS["Hilb2QY"].dim + self.d2_fiber:
-            raise ScenarioError(
-                "scenario check failed: "
-                "corank-2 locus dimension matches its fibration over the divisor"
-            )
 
 
-def build_d2(s: GMScenario):
-    """The corank-2 degeneracy locus as a fibration over the Hilbert-square divisor."""
-    return projective_fibration(NODES["Hilb2QY"], s.d2_fiber)
-
-
-def build_d1_prime(s: GMScenario):
-    """The resolved corank-1 locus as an iterated blow-up."""
-    psy = projective_fibration(NODES["Y"], s.psy_fiber)
-    pbr = projective_fibration(NODES["B"], s.pbr_fiber)
-    inner = blow_up(pbr, psy, s.codim_psy)
-    center = projective_fibration(build_d2(s), s.rho_fiber)
-    return blow_up(inner, center, s.codim_rho_d2)
-
-
-def build_rhs(s: GMScenario):
-    """Double blow-up of the product side, grouped by the B, Y and
-    Hilbert-square atoms."""
-    bp = projective_fibration(NODES["B"], s.pv5_dim)
-    stage1 = blow_up(bp, build_d2(s), s.codim_d2)
-    return blow_up(stage1, build_d1_prime(s), s.codim_d1)
-
-
-def build_lhs(s: GMScenario):
-    """The same variety fibered over the unknown X, blown up along a
-    projective fibration over the corank-2 locus."""
+def build_sides(s: GMScenario):
+    """The lhs and rhs expression trees, the lhs's gates run first. Both read
+    one node for the corank-2 locus D2, and the rhs's blow-up along it is the
+    one check of 6 + pv5_dim - codim_d2 == 3 + d2_fiber."""
+    # lhs: the variety fibered over the unknown X, blown up along a projective
+    # fibration over D2, itself a fibration over the Hilbert-square divisor
     top = projective_fibration(projective_fibration(NODES["X"], s.px_fiber), s.ux_fiber)
-    center = projective_fibration(build_d2(s), s.lhs_center_fiber)
-    return blow_up(top, center, s.codim_lhs_center)
+    d2 = projective_fibration(NODES["Hilb2QY"], s.d2_fiber)
+    lhs = blow_up(top, projective_fibration(d2, s.lhs_center_fiber), s.codim_lhs_center)
+    # rhs: the product side blown up along D2, then along D1', the resolved
+    # corank-1 locus, an iterated blow-up; psy is built before pbr, as the
+    # order of the gates and so of the messages requires
+    stage1 = blow_up(projective_fibration(NODES["B"], s.pv5_dim), d2, s.codim_d2)
+    psy = projective_fibration(NODES["Y"], s.psy_fiber)
+    inner = blow_up(projective_fibration(NODES["B"], s.pbr_fiber), psy, s.codim_psy)
+    d1_prime = blow_up(inner, projective_fibration(d2, s.rho_fiber), s.codim_rho_d2)
+    return lhs, blow_up(stage1, d1_prime, s.codim_d1)
 
 
 class Derivation(Frozen):
-    """A scenario's one derivation pass: its facts validated, the lhs then the
-    rhs built, and only then both normalized once and compared after
+    """A scenario's one derivation pass: its facts validated, both sides built
+    by build_sides, and only then both normalized once and compared after
     substituting X -> B + Y*L^2. Solving, realization and the torsion
     certificate all read the normal forms ``lhs`` and ``rhs`` stored here.
 
@@ -212,7 +200,7 @@ def verify_identity(s: GMScenario) -> Derivation:
     verification, not raised, and any other error propagates."""
     try:
         s.validate()
-        lhs, rhs = build_lhs(s), build_rhs(s)
+        lhs, rhs = build_sides(s)
     except (ScenarioError, DimensionMismatchError, InvalidRankError) as exc:
         return Derivation(False, f"construction failed: {exc}", error=exc)
     lhs, rhs = normalize(lhs), normalize(rhs)

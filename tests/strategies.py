@@ -134,3 +134,11 @@ def top_level_summands(text: str) -> list[str]:
             start = i + 1
     out.append(text[start:])
     return out
+
+
+def rhs_centers(rhs):
+    """D2 and D1', the centers of the rhs's two blow-ups, read off the
+    tree that gm.build_sides returns: a blow-up is Sum((ambient,
+    TensorTwist(center, twist))), and the rhs blows up along D2 first."""
+    stage1, d1_prime = rhs.children
+    return stage1.children[1].child, d1_prime.child

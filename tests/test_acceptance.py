@@ -39,10 +39,7 @@ from motivecalc.gm import (
     FREE,
     GMScenario,
     ScenarioError,
-    build_d1_prime,
-    build_d2,
-    build_lhs,
-    build_rhs,
+    build_sides,
     perturbed,
     solve_mx,
     torsion_report,
@@ -55,6 +52,7 @@ from strategies import (
     motive_exprs,
     nonzero_tate_polys,
     print_expr,
+    rhs_centers,
     session_atlas,
     tate_polys,
 )
@@ -72,7 +70,7 @@ def ok(n, label):
 
 
 def test_criterion_1_rhs_reproduction():
-    nf = normalize(build_rhs(GMScenario()))
+    nf = normalize(build_sides(GMScenario())[1])
     assert nf == NormalForm(
         {
             "B": M1,
@@ -85,7 +83,7 @@ def test_criterion_1_rhs_reproduction():
 
 def test_criterion_2_lhs_and_identity():
     s = GMScenario()
-    assert normalize(build_lhs(s)) == NormalForm({"X": M1, "Hilb2QY": M2_TWIST})
+    assert normalize(build_sides(s)[0]) == NormalForm({"X": M1, "Hilb2QY": M2_TWIST})
     assert verify_identity(s).ok
     ok(2, "LHS reproduction and identity")
 
@@ -214,7 +212,7 @@ class TestCriterion8PropertySuites:
     def test_d_blowup_order_invariance(self):
         s = GMScenario()
         bp = projective_fibration(Atom("B", 6), s.pv5_dim)
-        d2, d1p = build_d2(s), build_d1_prime(s)
+        d2, d1p = rhs_centers(build_sides(s)[1])
         a = blow_up(blow_up(bp, d2, s.codim_d2), d1p, s.codim_d1)
         b = blow_up(blow_up(bp, d1p, s.codim_d1), d2, s.codim_d2)
         assert normalize(a) == normalize(b)
@@ -238,8 +236,8 @@ class TestCriterion8PropertySuites:
 REJECTING_GATE = {
     "rank_e": ScenarioError,
     "rank_f": ScenarioError,
-    "pv5_dim": ScenarioError,
-    "d2_fiber": ScenarioError,
+    "pv5_dim": DimensionMismatchError,
+    "d2_fiber": DimensionMismatchError,
     "codim_d2": ScenarioError,
     "codim_d1": ScenarioError,
     "psy_fiber": DimensionMismatchError,

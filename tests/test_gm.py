@@ -26,10 +26,7 @@ from motivecalc.gm import (
     UNKNOWN,
     GMScenario,
     ScenarioError,
-    build_d1_prime,
-    build_d2,
-    build_lhs,
-    build_rhs,
+    build_sides,
     full_report,
     perturbed,
     solve_mx,
@@ -41,6 +38,7 @@ from motivecalc.dsl import Parser
 from motivecalc.formulas import DimensionMismatchError, projective_fibration
 from motivecalc.motive import Atom
 
+from strategies import rhs_centers
 from test_acceptance import REJECTING_GATE
 
 P = Parser(Atlas()).parse_polynomial
@@ -68,13 +66,15 @@ def scenario():
 
 class TestBuildRhs:
     def test_full_normal_form(self, scenario):
-        assert normalize(build_rhs(scenario)) == RHS_EXPECTED
+        assert normalize(build_sides(scenario)[1]) == RHS_EXPECTED
 
     def test_intermediate_d2(self, scenario):
-        assert normalize(build_d2(scenario)) == NormalForm({"Hilb2QY": ladder(0, 1)})
+        d2, _ = rhs_centers(build_sides(scenario)[1])
+        assert normalize(d2) == NormalForm({"Hilb2QY": ladder(0, 1)})
 
     def test_intermediate_d1_prime(self, scenario):
-        nf = normalize(build_d1_prime(scenario))
+        _, d1_prime = rhs_centers(build_sides(scenario)[1])
+        nf = normalize(d1_prime)
         assert nf == NormalForm(
             {
                 "B": ladder(0, 2),
@@ -86,7 +86,7 @@ class TestBuildRhs:
 
 class TestBuildLhs:
     def test_full_normal_form(self, scenario):
-        assert normalize(build_lhs(scenario)) == LHS_EXPECTED
+        assert normalize(build_sides(scenario)[0]) == LHS_EXPECTED
 
     def test_fiber_product_factor(self, scenario):
         # P^3 x P^1 fiber contributes exactly the tensor factor of X
@@ -108,8 +108,7 @@ class TestVerifyIdentity:
     def test_blowup_order_invariance(self, scenario):
         s = scenario
         bp = projective_fibration(Atom("B", 6), s.pv5_dim)
-        d2 = build_d2(s)
-        d1p = build_d1_prime(s)
+        d2, d1p = rhs_centers(build_sides(s)[1])
         order_a = blow_up(blow_up(bp, d2, s.codim_d2), d1p, s.codim_d1)
         order_b = blow_up(blow_up(bp, d1p, s.codim_d1), d2, s.codim_d2)
         assert normalize(order_a) == normalize(order_b) == RHS_EXPECTED
@@ -126,7 +125,7 @@ class TestVerifyIdentity:
         def broken(s):
             raise ValueError("not a gate")
 
-        monkeypatch.setattr(gm, "build_rhs", broken)
+        monkeypatch.setattr(gm, "build_sides", broken)
         with pytest.raises(ValueError, match="not a gate") as exc:
             verify_identity(GMScenario())
         assert type(exc.value) is ValueError
@@ -163,7 +162,7 @@ class TestSolve:
 
     def test_resubstitution_reproduces_rhs(self, scenario):
         solved = solve_mx(scenario).normal_form
-        lhs = normalize(build_lhs(scenario))
+        lhs = normalize(build_sides(scenario)[0])
         m1 = lhs.coefficient("X")
         m2 = NormalForm({"Hilb2QY": lhs.coefficient("Hilb2QY")})
         assert solved.scale(m1) + m2 == RHS_EXPECTED
@@ -252,11 +251,14 @@ def test_scenario_is_its_facts():
     assert len(facts) == 15 and set(facts) == {f.name for f in fields(GMScenario)}
 
 
-@pytest.mark.parametrize("pv5_dim", [-1, 1001])
-def test_out_of_range_fact_fails_verification(pv5_dim):
-    # facts are not checked when the scenario is built; validate rejects them
+@pytest.mark.parametrize(
+    "pv5_dim, gate", [(-1, DimensionMismatchError), (1001, ScenarioError)], ids=["-1", "1001"]
+)
+def test_out_of_range_fact_fails_verification(pv5_dim, gate):
+    # facts are not checked when the scenario is built: the fibration's range
+    # gate rejects -1, and validate's corank-3 check rejects 1001
     d = verify_identity(GMScenario(pv5_dim=pv5_dim))
-    assert not d.ok and type(d.error) is ScenarioError
+    assert not d.ok and type(d.error) is gate
 
 
 # the multi-fact moves the identity cannot see: (name, whether a scenario
@@ -346,6 +348,18 @@ def test_a_derivation_checks_only_its_normal_forms(monkeypatch):
     assert len(checked) <= 2 * 5
 
 
+def test_both_sides_read_one_d2_node(monkeypatch):
+    # four fibrations per side; D2 built for each of its three uses made ten
+    calls, fibration = [], gm.projective_fibration
+    monkeypatch.setattr(gm, "projective_fibration", lambda b, k: calls.append(k) or fibration(b, k))
+    assert verify_identity(GMScenario()).ok
+    assert len(calls) == 8
+    lhs, rhs = build_sides(GMScenario())
+    d2, d1_prime = rhs_centers(rhs)
+    # each other use wraps D2 in its fibration, then in its blow-up's twist
+    assert lhs.children[1].child.child is d2 and d1_prime.children[1].child.child is d2
+
+
 def test_every_gate_runs_before_a_side_is_normalized(monkeypatch):
     # a rejected scenario builds no normal form; one that passes every gate
     # normalizes each side once, whether or not the comparison then holds
@@ -369,7 +383,7 @@ def test_every_gate_runs_before_a_side_is_normalized(monkeypatch):
         (
             {"codim_d2": 5, "px_fiber": 2},
             ScenarioError,
-            "scenario check failed: codim of corank-2 locus = 5",
+            "scenario check failed: codim_d2 = 5, but ranks (3, 4) give 6",
         ),
         (
             {"px_fiber": 2, "codim_rho_d2": 2},
@@ -392,24 +406,27 @@ def test_the_first_gate_in_derivation_order_is_reported(changes, gate, message):
 
 
 @pytest.mark.parametrize(
-    "changes, message",
+    "changes, gate, message",
     [
         (
             {"rank_e": 3, "rank_f": 3, "codim_d1": 1, "codim_d2": 4},
-            "corank-3 codim 9 > ambient dim 10: locus empty",
+            ScenarioError,
+            "scenario check failed: corank-3 codim 9 > ambient dim 10: locus empty",
         ),
         (
+            # the rhs's blow-up along D2 owns the dimension equation of D2
             {"rank_e": 3, "rank_f": 5, "codim_d1": 3, "codim_d2": 8},
-            "corank-2 locus dimension matches its fibration over the divisor",
+            DimensionMismatchError,
+            "center dim 4 + codim 8 != ambient dim 10",
         ),
     ],
     ids=["corank-3-locus", "corank-2-dimension"],
 )
-def test_ranks_with_matching_codims_meet_a_later_check(changes, message):
+def test_ranks_with_matching_codims_meet_a_later_check(changes, gate, message):
     # both codims follow the new ranks, so the first two checks pass
     d = verify_identity(perturbed(GMScenario(), **changes))
-    assert not d.ok and type(d.error) is ScenarioError
-    assert d.message == f"construction failed: scenario check failed: {message}"
+    assert not d.ok and type(d.error) is gate
+    assert d.message == f"construction failed: {message}"
 
 
 def test_perturbed_returns_a_fresh_scenario():
@@ -439,6 +456,19 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             perturbed(GMScenario(), codim_d2=5).validate()
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"rank_e": 2}, "codim_d1 = 2, but ranks (2, 4) give 3"),
+            ({"rank_f": 5, "codim_d1": 3}, "codim_d2 = 6, but ranks (3, 5) give 8"),
+        ],
+        ids=["codim_d1", "codim_d2"],
+    )
+    def test_codim_refusal_names_the_fact_and_the_ranks(self, changes, message):
+        with pytest.raises(ScenarioError) as exc:
+            perturbed(GMScenario(), **changes).validate()
+        assert str(exc.value) == f"scenario check failed: {message}"
+
 
 def test_full_report_structure():
     report = full_report(GMScenario())
@@ -465,11 +495,10 @@ def test_full_report_derives_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(gm, "build_lhs", counted("build_lhs", gm.build_lhs))
-    monkeypatch.setattr(gm, "build_rhs", counted("build_rhs", gm.build_rhs))
+    monkeypatch.setattr(gm, "build_sides", counted("build_sides", gm.build_sides))
     monkeypatch.setattr(GMScenario, "validate", counted("validate", GMScenario.validate))
     assert full_report(GMScenario())["identity_ok"]
-    assert calls["build_lhs"] == calls["build_rhs"] == 1
+    assert calls["build_sides"] == 1
     assert calls["validate"] <= 1
 
 
