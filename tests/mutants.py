@@ -11,16 +11,18 @@ runs on the unmutated tree and must pass. Then, for each mutant, ``src/``,
 ``tests/``, ``perfbench/`` (which tier-1 reads as source) and
 ``pyproject.toml`` are copied into a temporary directory and the edit is
 applied there. The killer runs alone first; only if it passes does tier-1
-run with ``-x`` (after one check that tier-1 passes on the unmutated tree).
-KILLED names the first failing test, SURVIVED means every test passed. The
-exit code is 1 if a mutant survives that EQUIVALENT does not list, or if the
-table is stale: a mutant's text is not found exactly once, or pytest cannot
-collect its killer (``tests/test_mutants.py`` runs that check in tier-1); 2 if
-the unmutated tree fails.
+run with ``-x`` (after one check that tier-1 passes on the unmutated tree),
+less the staleness test, which fails on every mutated tree. KILLED names
+the first failing test, SURVIVED means every test passed. The exit code is
+1 if a mutant survives that EQUIVALENT does not list, or if the table is
+stale: a mutant's text is not found exactly once, or its killer names no
+test defined in its file (``tests/test_mutants.py`` runs that check in
+tier-1); 2 if the unmutated tree fails.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import shutil
 import subprocess
@@ -247,6 +249,8 @@ MUTANTS = {
 EQUIVALENT: dict[str, str] = {}
 
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+# the tier-1 check of this table, which no mutated tree can pass
+STALENESS = "tests/test_mutants.py::test_the_mutant_table_is_not_stale"
 
 
 def run_pytest(tree: Path, *args: str) -> tuple[bool, str]:
@@ -259,22 +263,26 @@ def run_pytest(tree: Path, *args: str) -> tuple[bool, str]:
     return proc.returncode == 0, (failed or lines[-1:] or [proc.stderr.strip()])[0]
 
 
-def uncollected(killers: set[str]) -> list[str]:
-    """The killer ids that pytest collects no test for."""
-    present = [k for k in killers if (ROOT / k.split("::")[0]).is_file()]
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
-        [*PYTEST, "--collect-only", *present], cwd=ROOT, env=env, capture_output=True, text=True
-    )
-    ids = proc.stdout.splitlines()
-    return sorted(
-        k for k in killers if not any(i == k or i.startswith(k + "[") for i in ids)
-    )
+def unresolved(killers: set[str]) -> list[str]:
+    """The killer ids that name no test: each class on the path and the test
+    function must be defined at the top level of the file or class before."""
+    out = []
+    for killer in killers:
+        path, *names = killer.split("::")
+        file = ROOT / path
+        body = ast.parse(file.read_text()).body if file.is_file() else []
+        for name in names:
+            defs = [n for n in body if isinstance(n, (ast.ClassDef, ast.FunctionDef))]
+            body = next((n.body for n in defs if n.name == name), None)
+            if body is None:
+                out.append(killer)
+                break
+    return sorted(out)
 
 
 def stale(names: list[str]) -> list[str]:
     """Why the table is stale for the named mutants: a text not found exactly
-    once in its module, or a killer that pytest does not collect."""
+    once in its module, or a killer that names no test."""
     out = []
     for name in names:
         module, text, _, _ = MUTANTS[name]
@@ -282,7 +290,7 @@ def stale(names: list[str]) -> list[str]:
         if found != 1:
             out.append(f"{name}: text found {found} times in {module}")
     killers = {MUTANTS[name][3] for name in names}
-    return out + [f"killer not collected: {k}" for k in uncollected(killers)]
+    return out + [f"killer names no test: {k}" for k in unresolved(killers)]
 
 
 def copy_tree(dest: Path) -> Path:
@@ -326,7 +334,7 @@ def main(argv: list[str]) -> int:
                         print(f"the unmutated tree fails: {why}", file=sys.stderr)
                         return 2
                     tier1_checked = True
-                ok, first = run_pytest(tree)
+                ok, first = run_pytest(tree, "--deselect", STALENESS)
                 first += " (missed by its killer)"
         if ok:
             note = f" (equivalent: {EQUIVALENT[name]})" if name in EQUIVALENT else ""

@@ -1,6 +1,6 @@
 """The mutation table of tests/mutants.py quotes lines of src/motivecalc and
-names tier-1 tests; a whole mutation run takes minutes, so tier-1 checks here
-only that every quote and every killer still resolves."""
+names tier-1 tests; a whole mutation run takes minutes, so tier-1 checks here,
+in process, only that every quote and every killer still resolves."""
 
 import mutants
 
