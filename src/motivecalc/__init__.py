@@ -2,14 +2,13 @@
 motives and cohomology, with geometric formula builders and Hodge/Betti
 realizations."""
 
-from .tatepoly import ONE, ZERO, L, TatePolynomial, NotDivisibleError, ladder
+from .tatepoly import ONE, L, TatePolynomial, NotDivisibleError, ladder
 from .motive import (
     Atom,
     AtomRegistry,
     MotiveAtom,
     MotiveExpr,
     NormalForm,
-    NotASummandError,
     Solved,
     Sum,
     TensorTwist,
@@ -18,32 +17,9 @@ from .motive import (
     normalize,
     solve_tensor_factor,
 )
-from .hodge import (
-    HodgeDiamond,
-    MissingRealizationError,
-    check_symmetries,
-    realize_hodge,
-)
-from .atlas import (
-    Atlas,
-    AtlasEntry,
-    OddCohomologyError,
-    gaussian_binomial,
-    grassmannian,
-    hilb2_surface,
-    k3,
-    projective_space,
-    quadric,
-)
-from .formulas import (
-    DimensionMismatchError,
-    InvalidRankError,
-    NonCellularFactorError,
-    blow_up,
-    codim_rank_leq,
-    kunneth,
-    projective_bundle,
-)
+from .hodge import HodgeDiamond, check_symmetries, realize_hodge
+from .atlas import Atlas, AtlasEntry, gaussian_binomial, quadric
+from .formulas import DimensionMismatchError, blow_up, projective_bundle
 from .gm import (
     GMScenario,
     IdentityError,
@@ -55,6 +31,6 @@ from .gm import (
     torsion_report,
     verify_identity,
 )
-from .dsl import ArityError, DslError, DslSyntaxError, Parser, UnknownIdentifierError
+from .dsl import Parser
 
 __version__ = "0.1.0"

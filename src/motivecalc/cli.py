@@ -176,8 +176,7 @@ def _cmd_verify(args, atlas: Atlas) -> int:
     if not derivation.ok:
         print(f"identity: FAILED; {derivation.message}")
         return 1
-    solved, diamond, cert = derivation.answer()
-    nf = solved.normal_form
+    nf, diamond, cert = derivation.answer()
     if not args.quiet:
         print("left normal form:  " + json.dumps(derivation.lhs.to_dict()))
         print("right normal form: " + json.dumps(derivation.rhs.to_dict()))

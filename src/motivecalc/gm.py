@@ -17,7 +17,6 @@ from .motive import (
     CANCELLATION_NOTE,
     Atom,
     NormalForm,
-    Solved,
     normalize,
     solve_tensor_factor,
 )
@@ -95,34 +94,27 @@ class GMScenario:
     codim_d1: int = 2
     codim_lhs_center: int = 4
 
-    @property
-    def ambient_dim(self) -> int:
-        return ATOMS["B"].dim + self.pv5_dim
-
-    def validate(self) -> None:
-        """Check declared codimensions against the expected-codimension
-        formula and the corank-3 locus for emptiness; raise ScenarioError at
-        the first check that fails."""
-        e, f = self.rank_e, self.rank_f
-        if self.codim_d1 != (c1 := codim_rank_leq(e, f, min(e, f) - 1)):
-            raise ScenarioError(
-                f"scenario check failed: codim_d1 = {self.codim_d1}, but ranks ({e}, {f}) give {c1}"
-            )
-        if self.codim_d2 != (c2 := codim_rank_leq(e, f, min(e, f) - 2)):
-            raise ScenarioError(
-                f"scenario check failed: codim_d2 = {self.codim_d2}, but ranks ({e}, {f}) give {c2}"
-            )
-        if (c3 := codim_rank_leq(e, f, min(e, f) - 3)) <= self.ambient_dim:
-            raise ScenarioError(
-                f"scenario check failed: corank-3 codim {c3} > ambient dim {self.ambient_dim}: "
-                "locus empty"
-            )
-
 
 def build_sides(s: GMScenario):
-    """The lhs and rhs expression trees, the lhs's gates run first. Both read
-    one node for the corank-2 locus D2, and the rhs's blow-up along it is the
-    one check of 6 + pv5_dim - codim_d2 == 3 + d2_fiber."""
+    """Every gate of the scenario, then the lhs and rhs expression trees. The
+    scenario checks run first and raise ScenarioError: the declared codims
+    against the expected codimensions of the degeneracy loci, then the
+    corank-3 locus for emptiness. The lhs's gates run next, then the rhs's.
+    Both sides read one node for the corank-2 locus D2, and the rhs's blow-up
+    along it is the one check of 6 + pv5_dim - codim_d2 == 3 + d2_fiber."""
+    e, f = s.rank_e, s.rank_f
+    if s.codim_d1 != (c1 := codim_rank_leq(e, f, min(e, f) - 1)):
+        raise ScenarioError(
+            f"scenario check failed: codim_d1 = {s.codim_d1}, but ranks ({e}, {f}) give {c1}"
+        )
+    if s.codim_d2 != (c2 := codim_rank_leq(e, f, min(e, f) - 2)):
+        raise ScenarioError(
+            f"scenario check failed: codim_d2 = {s.codim_d2}, but ranks ({e}, {f}) give {c2}"
+        )
+    if (c3 := codim_rank_leq(e, f, min(e, f) - 3)) <= (ambient := ATOMS["B"].dim + s.pv5_dim):
+        raise ScenarioError(
+            f"scenario check failed: corank-3 codim {c3} > ambient dim {ambient}: locus empty"
+        )
     # lhs: the variety fibered over the unknown X, blown up along a projective
     # fibration over D2, itself a fibration over the Hilbert-square divisor
     top = projective_fibration(projective_fibration(NODES["X"], s.px_fiber), s.ux_fiber)
@@ -139,13 +131,13 @@ def build_sides(s: GMScenario):
 
 
 class Derivation(Frozen):
-    """A scenario's one derivation pass: its facts validated, both sides built
-    by build_sides, and only then both normalized once and compared after
+    """A scenario's one derivation pass: every gate run and both sides built by
+    build_sides, and only then both normalized once and compared after
     substituting X -> B + Y*L^2. Solving, realization and the torsion
     certificate all read the normal forms ``lhs`` and ``rhs`` stored here.
 
-    A construction or validation failure is kept in ``error`` rather than
-    raised, so perturbed scenarios can be probed; lhs and rhs are then None.
+    A gate's rejection is kept in ``error`` rather than raised, so perturbed
+    scenarios can be probed; lhs and rhs are then None.
     """
 
     __slots__ = ("ok", "message", "lhs", "rhs", "error")
@@ -167,12 +159,12 @@ class Derivation(Frozen):
             raise self.error or IdentityError(self.message)
         return self.lhs, self.rhs
 
-    def solve(self) -> Solved:
+    def solve(self) -> NormalForm:
         """Cancel the common summand and tensor factor to extract the normal
         form of X from the two-sided identity."""
         lhs, rhs = self.sides()
         m2 = NormalForm({n: p for n, p in lhs.terms.items() if n != "X"})
-        return solve_tensor_factor("X", lhs.coefficient("X"), m2, rhs)
+        return solve_tensor_factor("X", lhs.coefficient("X"), m2, rhs).normal_form
 
     def torsion(self) -> dict:
         """Machine-checkable chain: X is a unit-coefficient summand of a sum
@@ -185,21 +177,21 @@ class Derivation(Frozen):
         conclusion = FREE if unit and UNKNOWN not in atoms.values() else UNKNOWN
         return {"unit_embedding": unit, "atoms": atoms, "conclusion": conclusion}
 
-    def answer(self) -> tuple[Solved, HodgeDiamond, dict]:
-        """The solved M(X), its Hodge diamond and its torsion certificate."""
+    def answer(self) -> tuple[NormalForm, HodgeDiamond, dict]:
+        """The normal form of M(X), its Hodge diamond and its torsion certificate."""
         solved = self.solve()
         table = {name: a.entry.diamond for name, a in ATOMS.items() if a.entry is not None}
-        return solved, realize_hodge(solved.normal_form, table), self.torsion()
+        return solved, realize_hodge(solved, table), self.torsion()
 
 
 def verify_identity(s: GMScenario) -> Derivation:
-    """Derive the scenario once: validate, build the lhs, build the rhs, then
-    normalize both and compare them after substituting X -> B + Y*L^2. Every
-    gate (a scenario check, a dimension or codimension check or a bad rank) runs
-    before any normal form is built; its rejection is reported as a failed
-    verification, not raised, and any other error propagates."""
+    """Derive the scenario once: build_sides runs every gate and builds both
+    sides, then both are normalized and compared after substituting
+    X -> B + Y*L^2. Every gate (a scenario check, a dimension or codimension
+    check or a bad rank) runs before any normal form is built; its rejection
+    is reported as a failed verification, not raised, and any other error
+    propagates."""
     try:
-        s.validate()
         lhs, rhs = build_sides(s)
     except (ScenarioError, DimensionMismatchError, InvalidRankError) as exc:
         return Derivation(False, f"construction failed: {exc}", error=exc)
@@ -216,7 +208,7 @@ def verify_identity(s: GMScenario) -> Derivation:
     return Derivation(False, message, lhs, rhs)
 
 
-def solve_mx(s: GMScenario) -> Solved:
+def solve_mx(s: GMScenario) -> NormalForm:
     """The normal form of X solved from the scenario's identity."""
     return verify_identity(s).solve()
 
@@ -244,7 +236,7 @@ def full_report(s: GMScenario) -> dict:
     solved, diamond, cert = verify.answer()
     out.update(
         {
-            "solved": solved.normal_form.to_dict(),
+            "solved": solved.to_dict(),
             "solved_note": CANCELLATION_NOTE,
             "hodge": diamond.to_json_dict(),
             "betti": list(diamond.betti()),

@@ -204,7 +204,8 @@ CANCELLATION_NOTE = (
 
 
 class Solved(Frozen):
-    """Result of solve_tensor_factor; CANCELLATION_NOTE states its modeling caveat."""
+    """Result of solve_tensor_factor; CANCELLATION_NOTE states its modeling
+    caveat.  Kept because perfbench/worker.py reads its ``normal_form``."""
 
     __slots__ = ("normal_form",)
 
@@ -223,6 +224,7 @@ def solve_tensor_factor(
     Subtracts the summand m2 and divides every remaining coefficient exactly
     by m1.  Raises ValueError for a zero m1, NotASummandError when m2 does
     not embed and NotDivisibleError when some coefficient is not divisible.
+    ``unknown`` is not read; it stays because perfbench/worker.py passes it.
     """
     if not m1:
         raise ValueError("tensor factor must be nonzero")

@@ -12,12 +12,14 @@ runs on the unmutated tree and must pass. Then, for each mutant, ``src/``,
 ``pyproject.toml`` are copied into a temporary directory and the edit is
 applied there. The killer runs alone first; only if it passes does tier-1
 run with ``-x`` (after one check that tier-1 passes on the unmutated tree),
-less the staleness test, which fails on every mutated tree. KILLED names
+less the two checks of these tables, which fail on every mutated tree. KILLED names
 the first failing test, SURVIVED means every test passed. The exit code is
 1 if a mutant survives that EQUIVALENT does not list, or if the table is
 stale: a mutant's text is not found exactly once, or its killer names no
 test defined in its file (``tests/test_mutants.py`` runs that check in
-tier-1); 2 if the unmutated tree fails.
+tier-1); 2 if the unmutated tree fails. Every ``raise`` in ``src/motivecalc``
+that no mutant switches off is counted, with its reason, in UNMUTATED, and
+tier-1 checks that count too.
 """
 
 from __future__ import annotations
@@ -117,19 +119,20 @@ MUTANTS = {
     ),
     "corank-1 codim check": (
         "gm.py",
-        "if self.codim_d1 != (c1 := codim_rank_leq(e, f, min(e, f) - 1)):",
+        "if s.codim_d1 != (c1 := codim_rank_leq(e, f, min(e, f) - 1)):",
         "if False:",
         f"{ACC}::test_criterion_9_negative_controls",
     ),
     "corank-2 codim check": (
         "gm.py",
-        "if self.codim_d2 != (c2 := codim_rank_leq(e, f, min(e, f) - 2)):",
+        "if s.codim_d2 != (c2 := codim_rank_leq(e, f, min(e, f) - 2)):",
         "if False:",
         f"{ACC}::test_criterion_9_negative_controls",
     ),
     "corank-3 emptiness check": (
         "gm.py",
-        "if (c3 := codim_rank_leq(e, f, min(e, f) - 3)) <= self.ambient_dim:",
+        "if (c3 := codim_rank_leq(e, f, min(e, f) - 3))"
+        ' <= (ambient := ATOMS["B"].dim + s.pv5_dim):',
         "if False:",
         f"{GM}::test_ranks_with_matching_codims_meet_a_later_check",
     ),
@@ -248,9 +251,62 @@ MUTANTS = {
 # reason; every mutant above is killed today, so the list is empty
 EQUIVALENT: dict[str, str] = {}
 
+# "module:function" -> (how many of its raises no mutant switches off, why);
+# tests/test_mutants.py checks that every raise in src/motivecalc lies in the
+# body of an ``if`` whose test a mutant edits, or is the raise a mutant edits,
+# or is counted here
+RANGE = "a builtin argument out of README's range; no mutant yet"
+VALUE = "a public constructor's type or range check of its argument; no mutant yet"
+SYNTAX = "a DSL syntax error, placed by the parser; no mutant yet"
+MISUSE = "internal misuse: no package caller passes such a value"
+UNMUTATED: dict[str, tuple[int, str]] = {
+    "atlas.py:AtlasEntry.__init__": (1, "reads check_symmetries, which 'symmetry check' edits"),
+    "atlas.py:grassmannian": (1, RANGE),
+    "atlas.py:hilb2_surface": (1, "Hilb2 of an entry that is no surface; no mutant yet"),
+    "atlas.py:projective_space": (1, RANGE),
+    "atlas.py:quadric": (1, RANGE),
+    "cli.py:_cmd_solve": (1, "solve would read stdin twice; no mutant yet"),
+    "cli.py:_load_extra_atlas": (9, "an --atlas file's schema checks; no mutant yet"),
+    "dsl.py:Parser._builtin": (3, "two syntax errors and a builtin's refusal; no mutant yet"),
+    "dsl.py:Parser._expect": (1, SYNTAX),
+    "dsl.py:Parser._expr": (1, "a zero twist factor; no mutant yet"),
+    "dsl.py:Parser._factor": (4, "syntax errors, a K3 clash and an unknown name; no mutant yet"),
+    "dsl.py:Parser._nat": (2, "no numeral, or one past the int-conversion limit; no mutant yet"),
+    "dsl.py:Parser._parse_all": (1, SYNTAX),
+    "dsl.py:Parser._polynomial": (1, SYNTAX),
+    "dsl.py:Parser._twist": (1, SYNTAX),
+    "dsl.py:_hilb2": (1, "Hilb2 of an argument that names no atlas atom; no mutant yet"),
+    "dsl.py:tokenize": (1, "names the first bad character of a text the parser refused"),
+    "formulas.py:codim_rank_leq": (1, VALUE),
+    "formulas.py:kunneth": (1, "Prod with no cellular factor; no mutant yet"),
+    "formulas.py:projective_bundle": (1, RANGE),
+    "gm.py:Derivation.sides": (1, "re-raises a failed derivation's stored gate or IdentityError"),
+    "hodge.py:HodgeDiamond.__init__": (5, VALUE),
+    "hodge.py:HodgeDiamond.pretty": (1, "the MAX_PRETTY_CHARS render bound; no mutant yet"),
+    "hodge.py:realize_hodge": (1, "an atom with no diamond; no mutant yet"),
+    "motive.py:AtomRegistry.atom": (1, "turns the table's KeyError into UnregisteredAtomError"),
+    "motive.py:AtomRegistry.register": (2, VALUE),
+    "motive.py:Sum.__init__": (1, MISUSE),
+    "motive.py:TensorTwist.__init__": (1, MISUSE),
+    "motive.py:normalize": (1, MISUSE),
+    "motive.py:solve_tensor_factor": (1, "a zero tensor factor, as solve's M1 '0'; no mutant yet"),
+    "tatepoly.py:Frozen.__setattr__": (1, "immutability of every value type; no mutant yet"),
+    "tatepoly.py:TatePolynomial.__init__": (3, VALUE),
+    "tatepoly.py:TatePolynomial.__pow__": (1, VALUE),
+    "tatepoly.py:TatePolynomial.div_exact": (
+        5,
+        "zero divisor, and the packed path's and the last dict-path refusal; no mutant yet",
+    ),
+    "tatepoly.py:gaussian_binomial": (1, VALUE),
+    "tatepoly.py:ladder": (1, VALUE),
+}
+
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
-# the tier-1 check of this table, which no mutated tree can pass
-STALENESS = "tests/test_mutants.py::test_the_mutant_table_is_not_stale"
+# the tier-1 checks of these tables, which no mutated tree can pass
+TABLE_CHECKS = [
+    "tests/test_mutants.py::test_the_mutant_table_is_not_stale",
+    "tests/test_mutants.py::test_every_raise_is_mutated_or_listed",
+]
 
 
 def run_pytest(tree: Path, *args: str) -> tuple[bool, str]:
@@ -291,6 +347,56 @@ def stale(names: list[str]) -> list[str]:
             out.append(f"{name}: text found {found} times in {module}")
     killers = {MUTANTS[name][3] for name in names}
     return out + [f"killer names no test: {k}" for k in unresolved(killers)]
+
+
+def raise_sites(source: str, texts: list[str]) -> dict[str, list[int]]:
+    """The lines of the raises that no text switches off, by qualified name
+    of the function they lie in. A text switches off each raise in the body
+    of the ``if`` whose test it lies in, and the raise it lies in."""
+    tree = ast.parse(source)
+    at = [source.count("\n", 0, source.index(t)) + 1 for t in texts if t in source]
+    off = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and any(
+            node.test.lineno <= n <= node.test.end_lineno for n in at
+        ):
+            off.update(id(r) for s in node.body for r in ast.walk(s) if isinstance(r, ast.Raise))
+        elif isinstance(node, ast.Raise) and any(node.lineno <= n <= node.end_lineno for n in at):
+            off.add(id(node))
+    out: dict[str, list[int]] = {}
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Raise) and id(child) not in off:
+                out.setdefault(scope or "<module>", []).append(child.lineno)
+            visit(child, scope)
+
+    visit(tree, "")
+    return out
+
+
+def unlisted_raises(sources: dict[str, str], mutants=MUTANTS, unmutated=UNMUTATED) -> list[str]:
+    """Each function whose raises that no mutant switches off differ in
+    number from its UNMUTATED entry, with their lines; [] when every raise
+    is switched off by a mutant or listed."""
+    found = {}
+    for module, source in sources.items():
+        texts = [text for mod, text, _, _ in mutants.values() if mod == module]
+        for scope, lines in raise_sites(source, texts).items():
+            found[f"{module}:{scope}"] = lines
+    out = []
+    for site in sorted(found.keys() | unmutated.keys()):
+        lines, listed = found.get(site, []), unmutated.get(site, (0, ""))[0]
+        if len(lines) != listed:
+            out.append(f"{site}: unmutated raises at lines {lines}, {listed} listed")
+    return out
+
+
+def src_sources() -> dict[str, str]:
+    return {p.name: p.read_text() for p in sorted((ROOT / "src" / "motivecalc").glob("*.py"))}
 
 
 def copy_tree(dest: Path) -> Path:
@@ -334,7 +440,8 @@ def main(argv: list[str]) -> int:
                         print(f"the unmutated tree fails: {why}", file=sys.stderr)
                         return 2
                     tier1_checked = True
-                ok, first = run_pytest(tree, "--deselect", STALENESS)
+                deselect = [arg for t in TABLE_CHECKS for arg in ("--deselect", t)]
+                ok, first = run_pytest(tree, *deselect)
                 first += " (missed by its killer)"
         if ok:
             note = f" (equivalent: {EQUIVALENT[name]})" if name in EQUIVALENT else ""

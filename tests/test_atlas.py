@@ -9,18 +9,15 @@ from collections import Counter
 import pytest
 import sympy
 
-from motivecalc import (
-    Atlas,
+from motivecalc import Atlas, check_symmetries, gaussian_binomial, quadric
+from motivecalc.atlas import (
+    AtlasEntry,
     OddCohomologyError,
-    check_symmetries,
-    gaussian_binomial,
     grassmannian,
     hilb2_surface,
     k3,
     projective_space,
-    quadric,
 )
-from motivecalc.atlas import AtlasEntry
 from motivecalc.hodge import HodgeDiamond
 
 

@@ -683,13 +683,13 @@ def test_cli_exit_contract_fuzz(argv, as_json, atlas):
 @pytest.mark.parametrize(
     "cls",
     [
-        motivecalc.DslError,
+        motivecalc.dsl.DslError,
         motivecalc.UnregisteredAtomError,
-        motivecalc.MissingRealizationError,
+        motivecalc.hodge.MissingRealizationError,
         motivecalc.DimensionMismatchError,
-        motivecalc.NonCellularFactorError,
-        motivecalc.InvalidRankError,
-        motivecalc.OddCohomologyError,
+        motivecalc.formulas.NonCellularFactorError,
+        motivecalc.formulas.InvalidRankError,
+        motivecalc.atlas.OddCohomologyError,
         motivecalc.ScenarioError,
     ],
 )

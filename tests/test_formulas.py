@@ -6,13 +6,9 @@ from motivecalc import (
     Atlas,
     Atom,
     DimensionMismatchError,
-    InvalidRankError,
-    NonCellularFactorError,
     NormalForm,
     ONE,
     blow_up,
-    codim_rank_leq,
-    kunneth,
     ladder,
     normalize,
     projective_bundle,
@@ -20,7 +16,13 @@ from motivecalc import (
 )
 
 from motivecalc.dsl import Parser
-from motivecalc.formulas import projective_fibration
+from motivecalc.formulas import (
+    InvalidRankError,
+    NonCellularFactorError,
+    codim_rank_leq,
+    kunneth,
+    projective_fibration,
+)
 
 from strategies import session_atlas
 

@@ -1,6 +1,8 @@
+import ast
 import random
 from collections import Counter
 from dataclasses import fields
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -35,7 +37,7 @@ from motivecalc.gm import (
 )
 from motivecalc.cli import main
 from motivecalc.dsl import Parser
-from motivecalc.formulas import DimensionMismatchError, projective_fibration
+from motivecalc.formulas import DimensionMismatchError, codim_rank_leq, projective_fibration
 from motivecalc.motive import Atom
 
 from strategies import rhs_centers
@@ -94,7 +96,7 @@ class TestBuildLhs:
 
     def test_center_dimensions(self, scenario):
         # blow-up center is two fiber dimensions above the corank-2 locus
-        d2_dim = scenario.ambient_dim - scenario.codim_d2
+        d2_dim = gm.ATOMS["B"].dim + scenario.pv5_dim - scenario.codim_d2
         assert d2_dim + scenario.lhs_center_fiber + scenario.codim_lhs_center == 10
 
 
@@ -156,27 +158,26 @@ def test_negative_controls(changes):
 
 class TestSolve:
     def test_solved_normal_form(self, scenario):
-        solved = solve_mx(scenario)
-        assert solved.normal_form == EXPECTED_MX
+        assert solve_mx(scenario) == EXPECTED_MX
         assert "cancellation" in gm.CANCELLATION_NOTE
 
     def test_resubstitution_reproduces_rhs(self, scenario):
-        solved = solve_mx(scenario).normal_form
+        solved = solve_mx(scenario)
         lhs = normalize(build_sides(scenario)[0])
         m1 = lhs.coefficient("X")
         m2 = NormalForm({"Hilb2QY": lhs.coefficient("Hilb2QY")})
         assert solved.scale(m1) + m2 == RHS_EXPECTED
 
     def test_realized_diamond(self, scenario):
-        d = realize_hodge(solve_mx(scenario).normal_form, DIAMONDS)
+        d = realize_hodge(solve_mx(scenario), DIAMONDS)
         assert (3, 3, 22) in d.entries()
         assert d.betti() == (1, 0, 1, 0, 2, 0, 24, 0, 2, 0, 1, 0, 1)
         assert d.euler() == 32
 
     def test_diamond_is_quadric_plus_twisted_k3_entrywise(self, scenario):
-        from motivecalc import k3, quadric
+        from motivecalc.atlas import k3, quadric
 
-        d = realize_hodge(solve_mx(scenario).normal_form, DIAMONDS)
+        d = realize_hodge(solve_mx(scenario), DIAMONDS)
         q6, s = quadric(6).diamond, k3().diamond
         want = {(p, q): v for p, q, v in q6.entries()}
         for p, q, v in s.entries():
@@ -244,6 +245,16 @@ def untrusted_atoms(monkeypatch, builtin):
     return {a for a, status in torsion["atoms"].items() if status == UNKNOWN}
 
 
+def test_the_scenario_class_holds_only_its_facts():
+    # every gate lives in build_sides: no method and no property on GMScenario
+    tree = ast.parse(Path(gm.__file__).read_text(encoding="utf-8"))
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "GMScenario")
+    body = cls.body[1:] if ast.get_docstring(cls) is not None else cls.body
+    assert all(isinstance(n, ast.AnnAssign) for n in body)
+    assert [n.target.id for n in body] == [f.name for f in fields(GMScenario)]
+    assert len(body) == 15
+
+
 def test_scenario_is_its_facts():
     assert GMScenario() == GMScenario()
     assert perturbed(GMScenario(), codim_d2=5) == GMScenario(codim_d2=5)
@@ -256,7 +267,7 @@ def test_scenario_is_its_facts():
 )
 def test_out_of_range_fact_fails_verification(pv5_dim, gate):
     # facts are not checked when the scenario is built: the fibration's range
-    # gate rejects -1, and validate's corank-3 check rejects 1001
+    # gate rejects -1, and the scenario's corank-3 check rejects 1001
     d = verify_identity(GMScenario(pv5_dim=pv5_dim))
     assert not d.ok and type(d.error) is gate
 
@@ -396,10 +407,10 @@ def test_every_gate_runs_before_a_side_is_normalized(monkeypatch):
             "center dim 7 + codim 4 != ambient dim 10",
         ),
     ],
-    ids=["validate-before-lhs", "lhs-before-rhs", "lhs-center-before-rhs"],
+    ids=["scenario-before-lhs", "lhs-before-rhs", "lhs-center-before-rhs"],
 )
 def test_the_first_gate_in_derivation_order_is_reported(changes, gate, message):
-    # validate, then the lhs's blow-up, then the rhs's: each pair fails two
+    # the scenario checks, then the lhs's blow-up, then the rhs's: each pair fails two
     d = verify_identity(perturbed(GMScenario(), **changes))
     assert not d.ok and type(d.error) is gate
     assert d.message == f"construction failed: {message}"
@@ -442,19 +453,19 @@ def test_perturbed_returns_a_fresh_scenario():
 
 
 class TestScenarioValidation:
+    """The scenario checks, the first gates that build_sides runs."""
+
     def test_canonical_passes(self, scenario):
-        scenario.validate()
+        build_sides(scenario)
 
     def test_corank_codims(self, scenario):
-        from motivecalc import codim_rank_leq
-
         assert codim_rank_leq(3, 4, 2) == scenario.codim_d1
         assert codim_rank_leq(3, 4, 1) == scenario.codim_d2
-        assert codim_rank_leq(3, 4, 0) == 12 > scenario.ambient_dim
+        assert codim_rank_leq(3, 4, 0) == 12 > gm.ATOMS["B"].dim + scenario.pv5_dim
 
     def test_bad_codim_rejected(self):
         with pytest.raises(ScenarioError):
-            perturbed(GMScenario(), codim_d2=5).validate()
+            build_sides(perturbed(GMScenario(), codim_d2=5))
 
     @pytest.mark.parametrize(
         "changes, message",
@@ -466,7 +477,7 @@ class TestScenarioValidation:
     )
     def test_codim_refusal_names_the_fact_and_the_ranks(self, changes, message):
         with pytest.raises(ScenarioError) as exc:
-            perturbed(GMScenario(), **changes).validate()
+            build_sides(perturbed(GMScenario(), **changes))
         assert str(exc.value) == f"scenario check failed: {message}"
 
 
@@ -496,10 +507,10 @@ def test_full_report_derives_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(gm, "build_sides", counted("build_sides", gm.build_sides))
-    monkeypatch.setattr(GMScenario, "validate", counted("validate", GMScenario.validate))
+    monkeypatch.setattr(gm, "codim_rank_leq", counted("codim_rank_leq", gm.codim_rank_leq))
     assert full_report(GMScenario())["identity_ok"]
     assert calls["build_sides"] == 1
-    assert calls["validate"] <= 1
+    assert calls["codim_rank_leq"] == 3  # the three scenario checks, once
 
 
 class TestFailedIdentity:

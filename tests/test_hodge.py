@@ -5,19 +5,17 @@ from hypothesis import example, given, settings
 from motivecalc import (
     Atlas,
     HodgeDiamond,
-    MissingRealizationError,
     NormalForm,
     check_symmetries,
-    k3,
     ladder,
     normalize,
-    projective_space,
     quadric,
     realize_hodge,
 )
 from motivecalc import hodge
+from motivecalc.atlas import k3, projective_space
 from motivecalc.dsl import Parser
-from motivecalc.hodge import diagonal
+from motivecalc.hodge import MissingRealizationError, diagonal
 from motivecalc.tatepoly import ONE, ZERO, L
 
 from strategies import nonzero_tate_polys, tate_polys

@@ -1,15 +1,20 @@
 """The modules of the package share only public names: a private name, such
 as tatepoly's packed-digit helpers, is used only in the module defining it.
-Only gm loads dataclasses."""
+Only gm loads dataclasses. The package root exports only the names that the
+benchmark harness reads or the README names."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import motivecalc
 
+from test_benchmark_api import HARNESS, PERFBENCH, dotted_uses
+
 SRC = Path(motivecalc.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def private_sibling_imports(source: str) -> list[str]:
@@ -74,3 +79,20 @@ def test_expression_modules_do_not_import_dataclasses(path):
     cold start; gm keeps dataclasses only for GMScenario, whose fields
     perfbench reads."""
     assert "dataclasses" not in imported_modules(path.read_text(encoding="utf-8"))
+
+
+def test_every_export_is_read_by_the_harness_or_named_in_the_readme():
+    source = (SRC / "__init__.py").read_text(encoding="utf-8")
+    exports = [
+        alias.asname or alias.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    ]
+    read = set()
+    for name, root in HARNESS:
+        uses = dotted_uses((PERFBENCH / name).read_text(encoding="utf-8"), root)
+        read.update(chain.split(".")[0] for chain in uses)
+    readme = README.read_text(encoding="utf-8")
+    unread = [n for n in exports if n not in read and not re.search(rf"\b{n}\b", readme)]
+    assert len(exports) > 30 and unread == []

@@ -12,7 +12,6 @@ from motivecalc import (
     MotiveAtom,
     MotiveExpr,
     NormalForm,
-    NotASummandError,
     NotDivisibleError,
     Sum,
     TatePolynomial,
@@ -25,7 +24,7 @@ from motivecalc import (
 )
 from motivecalc.dsl import Parser
 from motivecalc.gm import GMScenario, verify_identity
-from motivecalc.motive import CANCELLATION_NOTE, Solved
+from motivecalc.motive import CANCELLATION_NOTE, NotASummandError, Solved
 from motivecalc.tatepoly import ONE, ZERO, L
 
 from strategies import (

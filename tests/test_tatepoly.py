@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motivecalc import ONE, ZERO, Atlas, L, NotDivisibleError, TatePolynomial, ladder
+from motivecalc import ONE, Atlas, L, NotDivisibleError, TatePolynomial, ladder
 import motivecalc.tatepoly as tatepoly
-from motivecalc.tatepoly import MAX_DIM, _dense, _pack, _unpack, _width, gaussian_binomial
+from motivecalc.tatepoly import MAX_DIM, ZERO, _dense, _pack, _unpack, _width, gaussian_binomial
 
 from motivecalc.dsl import Parser
 

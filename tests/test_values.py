@@ -13,13 +13,12 @@ from motivecalc import (
     Sum,
     TatePolynomial,
     TensorTwist,
-    k3,
     ladder,
     perturbed,
-    projective_space,
-    solve_mx,
+    solve_tensor_factor,
     verify_identity,
 )
+from motivecalc.atlas import k3, projective_space
 from motivecalc.gm import GMScenario
 from motivecalc.tatepoly import ONE, L
 
@@ -48,7 +47,17 @@ VALUES = [
     pytest.param(lambda: Atom("K3", 2), True, id="Atom"),
     pytest.param(lambda: Sum((Atom("K3", 2), Sum((Atom("B", 6),)))), True, id="Sum"),
     pytest.param(lambda: TensorTwist(Atom("B", 6), ladder(0, 2)), True, id="TensorTwist"),
-    pytest.param(lambda: solve_mx(GMScenario()), False, id="Solved"),
+    # solve_tensor_factor's result: (1 + L)^2 * K3*(1 + L + L^2) + B, less B
+    pytest.param(
+        lambda: solve_tensor_factor(
+            "X",
+            ladder(0, 1) ** 2,
+            NormalForm({"B": ONE}),
+            NormalForm({"K3": ladder(0, 1) ** 2 * ladder(0, 2), "B": ONE}),
+        ),
+        False,
+        id="Solved",
+    ),
 ]
 
 
