@@ -75,5 +75,5 @@ def codim_rank_leq(e: int, f: int, r: int) -> int:
     """Expected codimension (e-r)(f-r) of the rank <= r locus of a map
     between bundles of ranks e and f."""
     if not 0 <= r <= min(e, f):
-        raise InvalidRankError(f"rank {r} outside [0, {min(e, f)}]")
+        raise InvalidRankError(f"rank {r} outside [0, {min(e, f)}] for bundle ranks {e} and {f}")
     return (e - r) * (f - r)

@@ -1,7 +1,8 @@
 """End-to-end pipeline for the Gushel-Mukai sixfold computation.
 
 Encodes the double-blow-up comparison: both sides of the identity are built
-from declared geometric facts (fibration ranks and blow-up codimensions),
+from declared geometric facts (bundle ranks, fiber dimensions and blow-up
+codimensions; the degeneracy loci's codimensions follow from the ranks),
 checked for equality after substituting the expected answer, then solved by
 exact cancellation and realized as a Hodge diamond together with a
 torsion-freeness certificate.
@@ -90,28 +91,19 @@ class GMScenario:
     # blow-up codimensions
     codim_psy: int = 3
     codim_rho_d2: int = 3
-    codim_d2: int = 6
-    codim_d1: int = 2
     codim_lhs_center: int = 4
 
 
 def build_sides(s: GMScenario):
     """Every gate of the scenario, then the lhs and rhs expression trees. The
-    scenario checks run first and raise ScenarioError: the declared codims
-    against the expected codimensions of the degeneracy loci, then the
-    corank-3 locus for emptiness. The lhs's gates run next, then the rhs's.
-    Both sides read one node for the corank-2 locus D2, and the rhs's blow-up
-    along it is the one check of 6 + pv5_dim - codim_d2 == 3 + d2_fiber."""
+    codimensions of the degeneracy loci D1, D2 and the corank-3 locus are the
+    expected (e - r)(f - r) of the bundle ranks (Fulton, Intersection Theory,
+    Ch. 14); min(e, f) < 3 raises InvalidRankError, and a nonempty corank-3
+    locus ScenarioError. The lhs's gates run next, then the rhs's. Both sides
+    read one D2 node; the rhs's blow-up along it checks its dimension."""
     e, f = s.rank_e, s.rank_f
-    if s.codim_d1 != (c1 := codim_rank_leq(e, f, min(e, f) - 1)):
-        raise ScenarioError(
-            f"scenario check failed: codim_d1 = {s.codim_d1}, but ranks ({e}, {f}) give {c1}"
-        )
-    if s.codim_d2 != (c2 := codim_rank_leq(e, f, min(e, f) - 2)):
-        raise ScenarioError(
-            f"scenario check failed: codim_d2 = {s.codim_d2}, but ranks ({e}, {f}) give {c2}"
-        )
-    if (c3 := codim_rank_leq(e, f, min(e, f) - 3)) <= (ambient := ATOMS["B"].dim + s.pv5_dim):
+    codim_d1, codim_d2, c3 = (codim_rank_leq(e, f, min(e, f) - k) for k in (1, 2, 3))
+    if c3 <= (ambient := ATOMS["B"].dim + s.pv5_dim):
         raise ScenarioError(
             f"scenario check failed: corank-3 codim {c3} > ambient dim {ambient}: locus empty"
         )
@@ -123,11 +115,11 @@ def build_sides(s: GMScenario):
     # rhs: the product side blown up along D2, then along D1', the resolved
     # corank-1 locus, an iterated blow-up; psy is built before pbr, as the
     # order of the gates and so of the messages requires
-    stage1 = blow_up(projective_fibration(NODES["B"], s.pv5_dim), d2, s.codim_d2)
+    stage1 = blow_up(projective_fibration(NODES["B"], s.pv5_dim), d2, codim_d2)
     psy = projective_fibration(NODES["Y"], s.psy_fiber)
     inner = blow_up(projective_fibration(NODES["B"], s.pbr_fiber), psy, s.codim_psy)
     d1_prime = blow_up(inner, projective_fibration(d2, s.rho_fiber), s.codim_rho_d2)
-    return lhs, blow_up(stage1, d1_prime, s.codim_d1)
+    return lhs, blow_up(stage1, d1_prime, codim_d1)
 
 
 class Derivation(Frozen):

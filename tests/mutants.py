@@ -13,7 +13,8 @@ runs on the unmutated tree and must pass. Then, for each mutant, ``src/``,
 applied there. The killer runs alone first; only if it passes does tier-1
 run with ``-x`` (after one check that tier-1 passes on the unmutated tree),
 less the two checks of these tables, which fail on every mutated tree. KILLED names
-the first failing test, SURVIVED means every test passed. The exit code is
+the first failing test, SURVIVED means every test passed; each line gives
+the mutant's seconds, and a last line tallies the run. The exit code is
 1 if a mutant survives that EQUIVALENT does not list, or if the table is
 stale: a mutant's text is not found exactly once, or its killer names no
 test defined in its file (``tests/test_mutants.py`` runs that check in
@@ -30,11 +31,13 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
 CLI, GM, ACC = "tests/test_cli.py", "tests/test_gm.py", "tests/test_acceptance.py"
+BUILTIN_ERRORS = f"{CLI}::test_builtin_error_names_builtin_and_position"
 
 # name -> (module under src/motivecalc, exact text, replacement, the test
 # that kills it, as pytest names it from the repo root)
@@ -117,22 +120,9 @@ MUTANTS = {
         'print(f"identity: FAILED; {derivation.message}")\n        return 0',
         f"{CLI}::TestVerify::test_failed_identity_exits_1",
     ),
-    "corank-1 codim check": (
-        "gm.py",
-        "if s.codim_d1 != (c1 := codim_rank_leq(e, f, min(e, f) - 1)):",
-        "if False:",
-        f"{ACC}::test_criterion_9_negative_controls",
-    ),
-    "corank-2 codim check": (
-        "gm.py",
-        "if s.codim_d2 != (c2 := codim_rank_leq(e, f, min(e, f) - 2)):",
-        "if False:",
-        f"{ACC}::test_criterion_9_negative_controls",
-    ),
     "corank-3 emptiness check": (
         "gm.py",
-        "if (c3 := codim_rank_leq(e, f, min(e, f) - 3))"
-        ' <= (ambient := ATOMS["B"].dim + s.pv5_dim):',
+        'if c3 <= (ambient := ATOMS["B"].dim + s.pv5_dim):',
         "if False:",
         f"{GM}::test_ranks_with_matching_codims_meet_a_later_check",
     ),
@@ -245,6 +235,37 @@ MUTANTS = {
         "pass",
         "tests/test_dsl.py::TestLex::test_texts_of_one_findall_pass",
     ),
+    # the builtins' refusals: the killer's inputs lie one step out of range,
+    # so a mutated tree builds at most MAX_DIM + 2 terms (never name
+    # test_builtin_caps_exit_2, whose P(10000000) would build 10^7)
+    "P range check": ("atlas.py", "if not 0 <= n <= MAX_DIM:", "if False:", BUILTIN_ERRORS),
+    "Q range check": ("atlas.py", "if not 1 <= n <= MAX_DIM:", "if False:", BUILTIN_ERRORS),
+    "Gr range check": (
+        "atlas.py",
+        "if not 1 <= k < n or k * (n - k) > MAX_DIM:",
+        "if False:",
+        BUILTIN_ERRORS,
+    ),
+    "PB range check": ("formulas.py", "if not 1 <= r <= MAX_DIM + 1:", "if False:", BUILTIN_ERRORS),
+    "hilb2 surface check": ("atlas.py", "if d.n != 2:", "if False:", BUILTIN_ERRORS),
+    "Hilb2 argument names an atlas surface": (
+        "dsl.py",
+        "if not isinstance(inner, Atom) or atlas.get(inner.name) is None:",
+        "if False:",
+        BUILTIN_ERRORS,
+    ),
+    "zero tensor factor": (
+        "motive.py",
+        "if not m1:",
+        "if False:",
+        "tests/test_motive.py::TestSolveTensorFactor::test_zero_factor_is_bad_input",
+    ),
+    "missing realization": (
+        "hodge.py",
+        "if name not in table:",
+        "if False:",
+        "tests/test_hodge.py::TestRealizeHodge::test_missing_realization",
+    ),
 }
 
 # survivors that no test can tell apart from the original, each with its
@@ -255,16 +276,11 @@ EQUIVALENT: dict[str, str] = {}
 # tests/test_mutants.py checks that every raise in src/motivecalc lies in the
 # body of an ``if`` whose test a mutant edits, or is the raise a mutant edits,
 # or is counted here
-RANGE = "a builtin argument out of README's range; no mutant yet"
 VALUE = "a public constructor's type or range check of its argument; no mutant yet"
 SYNTAX = "a DSL syntax error, placed by the parser; no mutant yet"
 MISUSE = "internal misuse: no package caller passes such a value"
 UNMUTATED: dict[str, tuple[int, str]] = {
     "atlas.py:AtlasEntry.__init__": (1, "reads check_symmetries, which 'symmetry check' edits"),
-    "atlas.py:grassmannian": (1, RANGE),
-    "atlas.py:hilb2_surface": (1, "Hilb2 of an entry that is no surface; no mutant yet"),
-    "atlas.py:projective_space": (1, RANGE),
-    "atlas.py:quadric": (1, RANGE),
     "cli.py:_cmd_solve": (1, "solve would read stdin twice; no mutant yet"),
     "cli.py:_load_extra_atlas": (9, "an --atlas file's schema checks; no mutant yet"),
     "dsl.py:Parser._builtin": (3, "two syntax errors and a builtin's refusal; no mutant yet"),
@@ -275,21 +291,17 @@ UNMUTATED: dict[str, tuple[int, str]] = {
     "dsl.py:Parser._parse_all": (1, SYNTAX),
     "dsl.py:Parser._polynomial": (1, SYNTAX),
     "dsl.py:Parser._twist": (1, SYNTAX),
-    "dsl.py:_hilb2": (1, "Hilb2 of an argument that names no atlas atom; no mutant yet"),
     "dsl.py:tokenize": (1, "names the first bad character of a text the parser refused"),
     "formulas.py:codim_rank_leq": (1, VALUE),
     "formulas.py:kunneth": (1, "Prod with no cellular factor; no mutant yet"),
-    "formulas.py:projective_bundle": (1, RANGE),
     "gm.py:Derivation.sides": (1, "re-raises a failed derivation's stored gate or IdentityError"),
     "hodge.py:HodgeDiamond.__init__": (5, VALUE),
     "hodge.py:HodgeDiamond.pretty": (1, "the MAX_PRETTY_CHARS render bound; no mutant yet"),
-    "hodge.py:realize_hodge": (1, "an atom with no diamond; no mutant yet"),
     "motive.py:AtomRegistry.atom": (1, "turns the table's KeyError into UnregisteredAtomError"),
     "motive.py:AtomRegistry.register": (2, VALUE),
     "motive.py:Sum.__init__": (1, MISUSE),
     "motive.py:TensorTwist.__init__": (1, MISUSE),
     "motive.py:normalize": (1, MISUSE),
-    "motive.py:solve_tensor_factor": (1, "a zero tensor factor, as solve's M1 '0'; no mutant yet"),
     "tatepoly.py:Frozen.__setattr__": (1, "immutability of every value type; no mutant yet"),
     "tatepoly.py:TatePolynomial.__init__": (3, VALUE),
     "tatepoly.py:TatePolynomial.__pow__": (1, VALUE),
@@ -417,6 +429,7 @@ def main(argv: list[str]) -> int:
     if problems:
         print("\n".join(problems), file=sys.stderr)
         return 1
+    start = time.perf_counter()
     killers = {MUTANTS[name][3] for name in names}
     with tempfile.TemporaryDirectory() as tmp:
         ok, first = run_pytest(copy_tree(Path(tmp) / "original"), *sorted(killers))
@@ -424,8 +437,9 @@ def main(argv: list[str]) -> int:
         print(f"a killer fails on the unmutated tree: {first}", file=sys.stderr)
         return 2
     tier1_checked = False
-    survivors = []
+    survived = []
     for name in names:
+        began = time.perf_counter()
         module, text, replacement, killer = MUTANTS[name]
         with tempfile.TemporaryDirectory() as tmp:
             tree = copy_tree(Path(tmp) / "mutant")
@@ -443,13 +457,16 @@ def main(argv: list[str]) -> int:
                 deselect = [arg for t in TABLE_CHECKS for arg in ("--deselect", t)]
                 ok, first = run_pytest(tree, *deselect)
                 first += " (missed by its killer)"
+        seconds = f"{time.perf_counter() - began:5.1f} s"
         if ok:
             note = f" (equivalent: {EQUIVALENT[name]})" if name in EQUIVALENT else ""
-            print(f"SURVIVED  {name}{note}", flush=True)
-            survivors += [] if name in EQUIVALENT else [name]
+            print(f"SURVIVED  {seconds}  {name}{note}", flush=True)
+            survived.append(name)
         else:
-            print(f"KILLED    {name}: {first}", flush=True)
-    return 1 if survivors else 0
+            print(f"KILLED    {seconds}  {name}: {first}", flush=True)
+    total = time.perf_counter() - start
+    print(f"{len(names) - len(survived)} killed, {len(survived)} survived, {total:.0f} s in all")
+    return 1 if set(survived) - EQUIVALENT.keys() else 0
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from motivecalc import (
 )
 from motivecalc.atlas import AtlasEntry, hilb2_surface, k3
 from motivecalc.dsl import Parser
-from motivecalc.formulas import codim_rank_leq, projective_fibration
+from motivecalc.formulas import InvalidRankError, codim_rank_leq, projective_fibration
 from motivecalc.gm import (
     ATOMS,
     FREE,
@@ -210,8 +210,9 @@ class TestCriterion8PropertySuites:
         s = GMScenario()
         bp = projective_fibration(Atom("B", 6), s.pv5_dim)
         d2, d1p = rhs_centers(build_sides(s)[1])
-        a = blow_up(blow_up(bp, d2, s.codim_d2), d1p, s.codim_d1)
-        b = blow_up(blow_up(bp, d1p, s.codim_d1), d2, s.codim_d2)
+        c1, c2 = codim_rank_leq(s.rank_e, s.rank_f, 2), codim_rank_leq(s.rank_e, s.rank_f, 1)
+        a = blow_up(blow_up(bp, d2, c2), d1p, c1)
+        b = blow_up(blow_up(bp, d1p, c1), d2, c2)
         assert normalize(a) == normalize(b)
 
     @settings(max_examples=1000, deadline=None)
@@ -229,23 +230,25 @@ class TestCriterion8PropertySuites:
         ok(8, "property suites")
 
 
-# the gate that rejects each declared fact when it is moved by one either way
+# the gate that rejects each declared fact when it is moved by -1 and by +1;
+# the ranks fix the codims of D1 and D2, so each rank direction meets its own
+# gate: rank_e - 1 leaves no corank-3 locus to measure, rank_e + 1 and
+# rank_f - 1 make that locus nonempty, and rank_f + 1 makes D2's codim 8
+DIM = DimensionMismatchError
 REJECTING_GATE = {
-    "rank_e": ScenarioError,
-    "rank_f": ScenarioError,
-    "pv5_dim": DimensionMismatchError,
-    "d2_fiber": DimensionMismatchError,
-    "codim_d2": ScenarioError,
-    "codim_d1": ScenarioError,
-    "psy_fiber": DimensionMismatchError,
-    "pbr_fiber": DimensionMismatchError,
-    "rho_fiber": DimensionMismatchError,
-    "px_fiber": DimensionMismatchError,
-    "ux_fiber": DimensionMismatchError,
-    "lhs_center_fiber": DimensionMismatchError,
-    "codim_psy": DimensionMismatchError,
-    "codim_rho_d2": DimensionMismatchError,
-    "codim_lhs_center": DimensionMismatchError,
+    "rank_e": (InvalidRankError, ScenarioError),
+    "rank_f": (ScenarioError, DIM),
+    "pv5_dim": (DIM, DIM),
+    "d2_fiber": (DIM, DIM),
+    "psy_fiber": (DIM, DIM),
+    "pbr_fiber": (DIM, DIM),
+    "rho_fiber": (DIM, DIM),
+    "px_fiber": (DIM, DIM),
+    "ux_fiber": (DIM, DIM),
+    "lhs_center_fiber": (DIM, DIM),
+    "codim_psy": (DIM, DIM),
+    "codim_rho_d2": (DIM, DIM),
+    "codim_lhs_center": (DIM, DIM),
 }
 
 
@@ -255,8 +258,8 @@ def test_criterion_9_negative_controls():
     # typed "int"; a field outside that filter would shrink its workload
     assert all(f.init and f.type == "int" for f in fields(GMScenario))
     assert {f.name for f in fields(GMScenario)} == set(REJECTING_GATE)
-    for name, gate in REJECTING_GATE.items():
-        for step in (-1, 1):
+    for name, gates in REJECTING_GATE.items():
+        for step, gate in zip((-1, 1), gates):
             changes = {name: getattr(s, name) + step}
             d = verify_identity(perturbed(s, **changes))
             assert not d.ok and type(d.error) is gate, changes

@@ -64,7 +64,7 @@ def test_worker_reads_cli_and_dsl_names():
 def test_scenario_facts_as_the_worker_filters_them():
     base = GMScenario()
     facts = [f.name for f in fields(GMScenario) if f.init and f.type == "int"]
-    assert len(facts) == 15
+    assert len(facts) == 13
     for fact in facts:
         assert getattr(perturbed(base, **{fact: getattr(base, fact) + 1}), fact) == (
             getattr(base, fact) + 1

@@ -153,7 +153,7 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "changes",
-        [{"codim_d2": 5}, {"px_fiber": 2, "ux_fiber": 2}],
+        [{"rank_e": 4}, {"px_fiber": 2, "ux_fiber": 2}],
         ids=["rejected-at-a-gate", "normal-forms-differ"],
     )
     def test_failed_identity_exits_1(self, capsys, monkeypatch, changes):
@@ -462,6 +462,7 @@ def test_realization_cap_boundary(capsys):
 @pytest.mark.parametrize(
     "expr, message",
     [
+        ("P(1001)", "P: dimension 1001 outside 0..1000"),
         ("Q(0)", "Q: dimension 0 outside 1..1000"),
         ("Gr(3,2)", "Gr: need 1 <= k < n and k(n - k) <= 1000"),
         ("PB(K3, 0)", "PB: bundle rank 0 outside 1..1001"),

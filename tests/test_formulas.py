@@ -145,10 +145,11 @@ class TestCodim:
         assert codim_rank_leq(3, 4, min(3, 4) - 3) == 12
 
     def test_invalid_rank(self):
-        with pytest.raises(InvalidRankError):
-            codim_rank_leq(3, 4, 4)
-        with pytest.raises(InvalidRankError):
-            codim_rank_leq(3, 4, -1)
+        # the refusal names both bundle ranks, as a scenario's bad rank needs
+        for r in (4, -1):
+            message = rf"^rank {r} outside \[0, 3\] for bundle ranks 3 and 4$"
+            with pytest.raises(InvalidRankError, match=message):
+                codim_rank_leq(3, 4, r)
 
 
 CENTERS = ["P0", "P1", "P2", "K3", "Q3"]

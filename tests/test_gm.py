@@ -37,7 +37,12 @@ from motivecalc.gm import (
 )
 from motivecalc.cli import main
 from motivecalc.dsl import Parser
-from motivecalc.formulas import DimensionMismatchError, codim_rank_leq, projective_fibration
+from motivecalc.formulas import (
+    DimensionMismatchError,
+    InvalidRankError,
+    codim_rank_leq,
+    projective_fibration,
+)
 from motivecalc.motive import Atom
 
 from strategies import rhs_centers
@@ -96,7 +101,8 @@ class TestBuildLhs:
 
     def test_center_dimensions(self, scenario):
         # blow-up center is two fiber dimensions above the corank-2 locus
-        d2_dim = gm.ATOMS["B"].dim + scenario.pv5_dim - scenario.codim_d2
+        codim_d2 = codim_rank_leq(scenario.rank_e, scenario.rank_f, 1)
+        d2_dim = gm.ATOMS["B"].dim + scenario.pv5_dim - codim_d2
         assert d2_dim + scenario.lhs_center_fiber + scenario.codim_lhs_center == 10
 
 
@@ -111,8 +117,9 @@ class TestVerifyIdentity:
         s = scenario
         bp = projective_fibration(Atom("B", 6), s.pv5_dim)
         d2, d1p = rhs_centers(build_sides(s)[1])
-        order_a = blow_up(blow_up(bp, d2, s.codim_d2), d1p, s.codim_d1)
-        order_b = blow_up(blow_up(bp, d1p, s.codim_d1), d2, s.codim_d2)
+        c1, c2 = codim_rank_leq(s.rank_e, s.rank_f, 2), codim_rank_leq(s.rank_e, s.rank_f, 1)
+        order_a = blow_up(blow_up(bp, d2, c2), d1p, c1)
+        order_b = blow_up(blow_up(bp, d1p, c1), d2, c2)
         assert normalize(order_a) == normalize(order_b) == RHS_EXPECTED
 
     def test_consistent_perturbation_differs(self):
@@ -134,6 +141,8 @@ class TestVerifyIdentity:
 
 
 PERTURBATIONS = [
+    {"rank_e": 4},
+    {"rank_f": 5},
     {"pv5_dim": 3},
     {"psy_fiber": 2},
     {"pbr_fiber": 1},
@@ -144,8 +153,6 @@ PERTURBATIONS = [
     {"lhs_center_fiber": 1},
     {"codim_psy": 4},
     {"codim_rho_d2": 2},
-    {"codim_d2": 5},
-    {"codim_d1": 3},
     {"codim_lhs_center": 3},
 ]
 
@@ -252,14 +259,14 @@ def test_the_scenario_class_holds_only_its_facts():
     body = cls.body[1:] if ast.get_docstring(cls) is not None else cls.body
     assert all(isinstance(n, ast.AnnAssign) for n in body)
     assert [n.target.id for n in body] == [f.name for f in fields(GMScenario)]
-    assert len(body) == 15
+    assert len(body) == 13
 
 
 def test_scenario_is_its_facts():
     assert GMScenario() == GMScenario()
-    assert perturbed(GMScenario(), codim_d2=5) == GMScenario(codim_d2=5)
+    assert perturbed(GMScenario(), rank_e=4) == GMScenario(rank_e=4)
     facts = vars(GMScenario())
-    assert len(facts) == 15 and set(facts) == {f.name for f in fields(GMScenario)}
+    assert len(facts) == 13 and set(facts) == {f.name for f in fields(GMScenario)}
 
 
 @pytest.mark.parametrize(
@@ -315,7 +322,7 @@ def test_multi_fact_survey():
             assert perturbed(s, **undo) == base, changes
             accepted.add(tuple(sorted(changes.items())))
     # seed 1 reaches every family, alone and combined
-    assert len(accepted) == 8 and seen == {name for name, _, _ in FAMILIES}
+    assert len(accepted) == 5 and seen == {name for name, _, _ in FAMILIES}
     assert gm.ATOMS == ATOMS_AT_IMPORT
 
 
@@ -392,9 +399,9 @@ def test_every_gate_runs_before_a_side_is_normalized(monkeypatch):
     "changes, gate, message",
     [
         (
-            {"codim_d2": 5, "px_fiber": 2},
+            {"rank_e": 4, "px_fiber": 2},
             ScenarioError,
-            "scenario check failed: codim_d2 = 5, but ranks (3, 4) give 6",
+            "scenario check failed: corank-3 codim 9 > ambient dim 10: locus empty",
         ),
         (
             {"px_fiber": 2, "codim_rho_d2": 2},
@@ -410,7 +417,7 @@ def test_every_gate_runs_before_a_side_is_normalized(monkeypatch):
     ids=["scenario-before-lhs", "lhs-before-rhs", "lhs-center-before-rhs"],
 )
 def test_the_first_gate_in_derivation_order_is_reported(changes, gate, message):
-    # the scenario checks, then the lhs's blow-up, then the rhs's: each pair fails two
+    # the scenario check, then the lhs's blow-up, then the rhs's: each pair fails two
     d = verify_identity(perturbed(GMScenario(), **changes))
     assert not d.ok and type(d.error) is gate
     assert d.message == f"construction failed: {message}"
@@ -420,13 +427,13 @@ def test_the_first_gate_in_derivation_order_is_reported(changes, gate, message):
     "changes, gate, message",
     [
         (
-            {"rank_e": 3, "rank_f": 3, "codim_d1": 1, "codim_d2": 4},
+            {"rank_e": 3, "rank_f": 3},
             ScenarioError,
             "scenario check failed: corank-3 codim 9 > ambient dim 10: locus empty",
         ),
         (
             # the rhs's blow-up along D2 owns the dimension equation of D2
-            {"rank_e": 3, "rank_f": 5, "codim_d1": 3, "codim_d2": 8},
+            {"rank_e": 3, "rank_f": 5},
             DimensionMismatchError,
             "center dim 4 + codim 8 != ambient dim 10",
         ),
@@ -434,7 +441,7 @@ def test_the_first_gate_in_derivation_order_is_reported(changes, gate, message):
     ids=["corank-3-locus", "corank-2-dimension"],
 )
 def test_ranks_with_matching_codims_meet_a_later_check(changes, gate, message):
-    # both codims follow the new ranks, so the first two checks pass
+    # the codims of D1 and D2 follow the moved ranks, and a later check rejects them
     d = verify_identity(perturbed(GMScenario(), **changes))
     assert not d.ok and type(d.error) is gate
     assert d.message == f"construction failed: {message}"
@@ -443,42 +450,39 @@ def test_ranks_with_matching_codims_meet_a_later_check(changes, gate, message):
 def test_perturbed_returns_a_fresh_scenario():
     s = GMScenario()
     with pytest.raises(
-        TypeError, match=r"^GMScenario\.__init__\(\) got an unexpected keyword argument 'codim_d3'$"
+        TypeError, match=r"^GMScenario\.__init__\(\) got an unexpected keyword argument 'codim_d2'$"
     ):
-        perturbed(s, codim_d3=1)
-    moved = perturbed(s, codim_d2=5, px_fiber=2)
+        perturbed(s, codim_d2=6)  # the ranks give it; it is no declared fact
+    moved = perturbed(s, rank_e=4, px_fiber=2)
     assert s == GMScenario()
-    assert type(moved) is GMScenario and moved == GMScenario(codim_d2=5, px_fiber=2)
+    assert type(moved) is GMScenario and moved == GMScenario(rank_e=4, px_fiber=2)
     assert perturbed(s) == s and perturbed(s) is not s
 
 
 class TestScenarioValidation:
-    """The scenario checks, the first gates that build_sides runs."""
+    """The scenario's codims from its ranks, the first gates that build_sides runs."""
 
     def test_canonical_passes(self, scenario):
         build_sides(scenario)
 
     def test_corank_codims(self, scenario):
-        assert codim_rank_leq(3, 4, 2) == scenario.codim_d1
-        assert codim_rank_leq(3, 4, 1) == scenario.codim_d2
-        assert codim_rank_leq(3, 4, 0) == 12 > gm.ATOMS["B"].dim + scenario.pv5_dim
+        e, f = scenario.rank_e, scenario.rank_f
+        assert [codim_rank_leq(e, f, min(e, f) - k) for k in (1, 2, 3)] == [2, 6, 12]
+        assert codim_rank_leq(e, f, 0) == 12 > gm.ATOMS["B"].dim + scenario.pv5_dim
 
     def test_bad_codim_rejected(self):
+        # ranks (4, 4) give a corank-3 codim of 9, within the ambient dim 10
         with pytest.raises(ScenarioError):
-            build_sides(perturbed(GMScenario(), codim_d2=5))
+            build_sides(perturbed(GMScenario(), rank_e=4))
 
     @pytest.mark.parametrize(
-        "changes, message",
-        [
-            ({"rank_e": 2}, "codim_d1 = 2, but ranks (2, 4) give 3"),
-            ({"rank_f": 5, "codim_d1": 3}, "codim_d2 = 6, but ranks (3, 5) give 8"),
-        ],
-        ids=["codim_d1", "codim_d2"],
+        "changes, ranks", [({"rank_e": 2}, "2 and 4"), ({"rank_f": 2}, "3 and 2")], ids=["e", "f"]
     )
-    def test_codim_refusal_names_the_fact_and_the_ranks(self, changes, message):
-        with pytest.raises(ScenarioError) as exc:
+    def test_a_rank_below_3_is_refused_with_both_ranks(self, changes, ranks):
+        # no corank-3 locus to measure: the codim of rank <= -1 is refused
+        with pytest.raises(InvalidRankError) as exc:
             build_sides(perturbed(GMScenario(), **changes))
-        assert str(exc.value) == f"scenario check failed: {message}"
+        assert str(exc.value) == f"rank -1 outside [0, 2] for bundle ranks {ranks}"
 
 
 def test_full_report_structure():
@@ -491,7 +495,7 @@ def test_full_report_structure():
 
 
 def test_full_report_failure_path():
-    report = full_report(perturbed(GMScenario(), codim_d2=5))
+    report = full_report(perturbed(GMScenario(), rank_e=4))
     assert not report["identity_ok"]
     assert "solved" not in report
 
@@ -510,7 +514,7 @@ def test_full_report_derives_once(monkeypatch):
     monkeypatch.setattr(gm, "codim_rank_leq", counted("codim_rank_leq", gm.codim_rank_leq))
     assert full_report(GMScenario())["identity_ok"]
     assert calls["build_sides"] == 1
-    assert calls["codim_rank_leq"] == 3  # the three scenario checks, once
+    assert calls["codim_rank_leq"] == 3  # the codims of the three loci, once
 
 
 class TestFailedIdentity:
@@ -539,7 +543,7 @@ class TestFailedIdentity:
         }
 
     def test_construction_failure_is_reraised(self):
-        s = perturbed(GMScenario(), codim_d1=3)
+        s = perturbed(GMScenario(), rank_e=4)
         with pytest.raises(ScenarioError):
             solve_mx(s)
         with pytest.raises(ScenarioError):

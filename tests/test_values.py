@@ -35,7 +35,7 @@ VALUES = [
     # failed derivations: a construction failure keeps its exception, which
     # equality skips; a failed comparison keeps both normal forms
     pytest.param(
-        lambda: verify_identity(perturbed(GMScenario(), codim_d2=5)),
+        lambda: verify_identity(perturbed(GMScenario(), rank_e=4)),
         True,
         id="Derivation-construction-failed",
     ),
